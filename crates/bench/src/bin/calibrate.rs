@@ -199,9 +199,9 @@ fn report(dc: DataCenterId, scale: f64, seed: u64) {
     // Baseline emulation for contention and power.
     let cfg = EmulatorConfig::default();
     let dynamic = planner.plan_dynamic(&input).expect("dyn");
-    let r_semi = emulate(&input, &semi, &cfg).expect("emulation");
-    let r_stoch = emulate(&input, &stoch, &cfg).expect("emulation");
-    let r_dyn = emulate(&input, &dynamic, &cfg).expect("emulation");
+    let r_semi = emulate(&input, &semi, &cfg, None).expect("emulation");
+    let r_stoch = emulate(&input, &stoch, &cfg, None).expect("emulation");
+    let r_dyn = emulate(&input, &dynamic, &cfg, None).expect("emulation");
     println!(
         "  power kWh: vanilla {:.0}  stochastic {:.0}  dynamic {:.0} (dyn/stoch {:.2})",
         r_semi.energy_kwh,

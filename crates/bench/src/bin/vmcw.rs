@@ -831,7 +831,9 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
         "stale_h"
     );
     for kind in PlannerKind::EVALUATED {
-        let run = study.run_faulted(kind, &faults).map_err(|e| CliError::Run(e.to_string()))?;
+        let run = study
+            .run(kind, Some(&faults))
+            .map_err(|e| CliError::Run(e.to_string()))?;
         let f = run.report.faults;
         println!(
             "{:<12} {:>7} {:>11.1} {:>8} {:>7} {:>10} {:>9} {:>8} {:>10} {:>7}",
@@ -886,7 +888,9 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         "planner", "hosts", "energy_kwh", "migrations", "contention", "mean_active"
     );
     for kind in kinds {
-        let run = study.run(kind).map_err(|e| CliError::Run(e.to_string()))?;
+        let run = study
+            .run(kind, None)
+            .map_err(|e| CliError::Run(e.to_string()))?;
         println!(
             "{:<12} {:>7} {:>11.1} {:>12} {:>11.4}% {:>14.1}",
             kind.label(),

@@ -11,15 +11,14 @@
 //! population scale and serialises to a small stable JSON document
 //! (`vmcw-bench/v1`) written as `BENCH_emulator.json` /
 //! `BENCH_planners.json`, so successive runs can be diffed by scripts
-//! without a JSON library on either side. The same stages back the
-//! criterion target `perf_suite`, keeping `cargo bench` and `vmcw bench`
-//! measurements comparable. Methodology: docs/PERFORMANCE.md.
+//! without a JSON library on either side. Methodology:
+//! docs/PERFORMANCE.md.
 
 use std::time::Instant;
 
 use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
 use vmcw_consolidation::planner::{Planner, PlannerKind};
-use vmcw_emulator::engine::{emulate, emulate_with_faults, EmulatorConfig};
+use vmcw_emulator::engine::{emulate, EmulatorConfig};
 use vmcw_emulator::faults::FaultConfig;
 use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
 
@@ -132,7 +131,7 @@ pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
         let plan = planner.plan_dynamic(&input).expect("dynamic plan");
         let cfg = EmulatorConfig::default();
 
-        let (report, replay_secs) = timed(|| emulate(&input, &plan, &cfg).expect("replay"));
+        let (report, replay_secs) = timed(|| emulate(&input, &plan, &cfg, None).expect("replay"));
         entries.push(BenchEntry {
             stage: "replay-plain".into(),
             scale,
@@ -142,7 +141,7 @@ pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
 
         let faults = FaultConfig::baseline(seed);
         let (report, faulted_secs) =
-            timed(|| emulate_with_faults(&input, &plan, &cfg, &faults).expect("faulted replay"));
+            timed(|| emulate(&input, &plan, &cfg, Some(&faults)).expect("faulted replay"));
         entries.push(BenchEntry {
             stage: "replay-faulted".into(),
             scale,
@@ -166,7 +165,12 @@ pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
 pub fn run_planner_suite(scales: &[f64], seed: u64) -> BenchSuite {
     let mut entries = Vec::new();
     for &scale in scales {
-        let input = crate::bench_input(BENCH_DC, scale, HISTORY_DAYS, EVAL_DAYS, seed);
+        let workload = GeneratorConfig::new(BENCH_DC)
+            .scale(scale)
+            .days(HISTORY_DAYS + EVAL_DAYS)
+            .generate(seed);
+        let input =
+            PlanningInput::from_workload(&workload, HISTORY_DAYS, VirtualizationModel::baseline());
         let planner = Planner::baseline();
         for kind in PlannerKind::EVALUATED {
             let (plan, secs) = timed(|| planner.plan(kind, &input).expect("plan"));

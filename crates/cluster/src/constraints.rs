@@ -12,13 +12,12 @@
 
 use crate::datacenter::{HostId, HostLocation, RackId, SubnetId};
 use crate::vm::VmId;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
 /// A single deployment constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Constraint {
     /// Inclusion: the two VMs must share a host (e.g. an app server and
     /// its in-memory cache).
@@ -104,7 +103,7 @@ fn ordered(a: VmId, b: VmId) -> (VmId, VmId) {
 }
 
 /// A set of deployment constraints with conflict checking.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConstraintSet {
     colocate: HashSet<(VmId, VmId)>,
     anti: HashSet<(VmId, VmId)>,

@@ -11,10 +11,8 @@
 //! semi-static planner, and our harness normalises the same way, so only
 //! the *relative* weights matter).
 
-use serde::{Deserialize, Serialize};
-
 /// Space, hardware and energy cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FacilityCostModel {
     /// Hardware cost of one server (amortised over the study horizon).
     pub server_cost: f64,

@@ -6,11 +6,10 @@
 //! deployment-constraint framework of §2.2.4).
 
 use crate::server::ServerModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a physical host within a data center.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub u32);
 
 impl fmt::Display for HostId {
@@ -20,15 +19,15 @@ impl fmt::Display for HostId {
 }
 
 /// Identifier of a rack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RackId(pub u32);
 
 /// Identifier of a network subnet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubnetId(pub u16);
 
 /// A physical virtualisation host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     /// Identifier.
     pub id: HostId,
@@ -54,7 +53,7 @@ impl Host {
 
 /// Where a host sits in the data center — everything the deployment
 /// constraints of §2.2.4 can refer to ("same host/subnet/rack").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HostLocation {
     /// The host itself.
     pub host: HostId,
@@ -68,7 +67,7 @@ pub struct HostLocation {
 ///
 /// Planners provision hosts on demand via [`DataCenter::provision`]; the
 /// space-cost model then charges for the provisioned count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataCenter {
     template: ServerModel,
     hosts_per_rack: u32,

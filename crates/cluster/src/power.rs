@@ -6,10 +6,8 @@
 //! proportional term) that the paper's own prior work (pMapper \[25\],
 //! BrownMap \[28\]) employs; switched-off servers draw nothing.
 
-use serde::{Deserialize, Serialize};
-
 /// How the utilisation-dependent part of the draw scales.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerCurve {
     /// Linear in utilisation — the model of pMapper \[25\] and most
     /// consolidation literature.
@@ -17,12 +15,12 @@ pub enum PowerCurve {
     /// SPECpower-style concave curve (`2u − u^1.4`): real servers draw
     /// disproportionately at low-to-mid utilisation, which *shrinks* the
     /// power advantage of consolidating onto fewer, busier hosts. The
-    /// ablation benches quantify the effect on Fig 7.
+    /// `ablation` experiment quantifies the effect on Fig 7.
     SpecLike,
 }
 
 /// Utilisation→power model for one server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     idle_w: f64,
     peak_w: f64,

@@ -6,11 +6,10 @@
 //! and static metadata; its time-varying demand lives in the trace crate
 //! and is attached by the consolidation planner.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a virtual machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub u32);
 
 impl fmt::Display for VmId {
@@ -20,7 +19,7 @@ impl fmt::Display for VmId {
 }
 
 /// A virtual machine (static metadata).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     /// Identifier, unique within a study.
     pub id: VmId,

@@ -5,7 +5,7 @@
 //! than the first one. BFD trades a denser final packing on skewed item
 //! distributions for more comparisons; on the 2-D enterprise mixes of the
 //! paper the two usually land within a host of each other, which is why
-//! the paper standardises on FFD — the ablation benches quantify this.
+//! the paper standardises on FFD — the `ablation` experiment quantifies this.
 
 use crate::ffd::{attach_network, build_items, pack, BinPackModel, FfdModel, OrderKey, PackItem};
 use crate::placement::{PackError, Placement};

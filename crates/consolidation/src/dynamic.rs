@@ -30,7 +30,6 @@ use crate::input::PlanningInput;
 use crate::placement::{PackError, Placement};
 use crate::prediction::Predictor;
 use crate::sizing::SizingFunction;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vmcw_cluster::datacenter::{DataCenter, HostId};
 use vmcw_cluster::resources::Resources;
@@ -41,7 +40,7 @@ use vmcw_migration::reliability::ReservationPolicy;
 use vmcw_trace::workload::HOURS_PER_DAY;
 
 /// Configuration of the dynamic planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynamicConfig {
     /// Consolidation-interval length in hours (Table 3: 2).
     pub window_hours: usize,
@@ -112,7 +111,7 @@ impl Default for DynamicConfig {
 }
 
 /// One live migration decided by the dynamic planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationEvent {
     /// Consolidation interval in which the migration runs.
     pub interval: usize,
@@ -133,7 +132,7 @@ pub struct MigrationEvent {
 }
 
 /// Output of the dynamic planner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicOutcome {
     /// One placement per consolidation interval.
     pub placements: Vec<Placement>,
@@ -402,7 +401,6 @@ pub fn plan_dynamic(
                     gi,
                     host,
                     &groups,
-                    &assignment,
                     &loads,
                     &residents,
                     dc,
@@ -603,7 +601,6 @@ fn find_destination(
     gi: usize,
     from: HostId,
     groups: &[Group],
-    _assignment: &[HostId],
     loads: &BTreeMap<HostId, Resources>,
     residents: &BTreeMap<HostId, Vec<usize>>,
     dc: &mut DataCenter,

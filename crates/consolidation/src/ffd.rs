@@ -11,7 +11,6 @@
 //! feasibility instead of scalar demands.
 
 use crate::placement::{PackError, Placement};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vmcw_cluster::constraints::ConstraintSet;
 use vmcw_cluster::datacenter::{DataCenter, HostId};
@@ -19,7 +18,7 @@ use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
 
 /// Ordering key for the "decreasing" part of FFD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrderKey {
     /// Larger of the CPU and memory fractions of host capacity (default —
     /// the standard choice for 2-D vector packing).

@@ -4,7 +4,6 @@
 //! Semi-static plans hold one placement for the whole study; the dynamic
 //! plan holds one per consolidation interval.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -13,7 +12,7 @@ use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
 
 /// An assignment of VMs to physical hosts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Placement {
     forward: BTreeMap<VmId, HostId>,
     reverse: BTreeMap<HostId, Vec<VmId>>,

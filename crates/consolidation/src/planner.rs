@@ -8,7 +8,6 @@ use crate::input::PlanningInput;
 use crate::pcp::{pcp_pack, PcpConfig};
 use crate::placement::{PackError, Placement};
 use crate::sizing::SizingFunction;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use vmcw_cluster::datacenter::DataCenter;
@@ -17,7 +16,7 @@ use vmcw_cluster::server::ServerModel;
 use vmcw_cluster::vm::VmId;
 
 /// The consolidation variants compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PlannerKind {
     /// One-time placement sized at lifetime peak (§2.2.1).
     Static,
@@ -71,7 +70,7 @@ impl fmt::Display for PlannerKind {
 
 /// The placements of a plan: fixed for (semi-)static variants, one per
 /// consolidation interval for the dynamic variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanPlacements {
     /// A single placement for the whole study.
     Fixed(Placement),
@@ -113,7 +112,7 @@ impl PlanPlacements {
 }
 
 /// A complete consolidation plan, ready for emulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConsolidationPlan {
     /// Which planner produced it.
     pub kind: PlannerKind,
@@ -136,7 +135,7 @@ impl ConsolidationPlan {
 }
 
 /// How scalar demands are packed onto hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackingAlgorithm {
     /// First-Fit-Decreasing — the paper's choice.
     FirstFitDecreasing,
@@ -146,7 +145,7 @@ pub enum PackingAlgorithm {
 
 /// Long-term sizing policy for the semi-static planners (§2.1's
 /// "long-term prediction").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrowthPolicy {
     /// Size on the raw history (the paper's planners).
     None,
@@ -158,7 +157,7 @@ pub enum GrowthPolicy {
 }
 
 /// Which stochastic semi-static variant [`Planner::plan_stochastic`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StochasticVariant {
     /// Bucket-envelope peak clustering (the paper's PCP variant).
     PeakClustering,
@@ -167,7 +166,7 @@ pub enum StochasticVariant {
 }
 
 /// Configuration shared by all planners plus per-variant settings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Planner {
     /// FFD ordering key.
     pub order: OrderKey,

@@ -7,14 +7,12 @@
 //! operate on the per-window demand series (one sample per consolidation
 //! window, sized with max).
 
-use serde::{Deserialize, Serialize};
-
 /// Online predictor of the next window's peak demand.
 ///
 /// All predictors receive the full per-window demand history as
 /// `actuals[0..idx]` plus the planning-history windows and must estimate
 /// `actuals[idx]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Predictor {
     /// Perfect foresight — the upper bound used in ablations.
     Oracle,

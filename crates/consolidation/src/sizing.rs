@@ -6,12 +6,11 @@
 //! function used is max. Specific algorithms use other sizing functions
 //! like 90percentile."
 
-use serde::{Deserialize, Serialize};
 use vmcw_trace::series::TimeSeries;
 use vmcw_trace::stats;
 
 /// Converts the demand samples of a period into a single demand value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizingFunction {
     /// Peak demand — what static and vanilla semi-static consolidation use.
     Max,

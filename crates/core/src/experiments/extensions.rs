@@ -58,7 +58,7 @@ pub fn interval_sweep(suite: &mut Suite) -> Result<Table, StudyError> {
         let mut config = *study.config();
         config.planner.dynamic.window_hours = hours;
         let run = crate::study::Study::from_workload(&config, study.workload().clone())
-            .run(PlannerKind::Dynamic)?;
+            .run(PlannerKind::Dynamic, None)?;
 
         // Schedule each interval's migrations with the durations the
         // planner's pre-copy simulation recorded; track the worst
@@ -134,7 +134,7 @@ pub fn future_mechanisms(suite: &mut Suite) -> Result<Table, StudyError> {
         let mut config = *study.config();
         config.planner = config.planner.with_utilization_bound(bound);
         let run = crate::study::Study::from_workload(&config, study.workload().clone())
-            .run(PlannerKind::Dynamic)?;
+            .run(PlannerKind::Dynamic, None)?;
         t.push_row([
             mechanism.label().to_owned(),
             fnum(reservation, 2),
@@ -316,7 +316,7 @@ pub fn rolling_sweep(suite: &mut Suite) -> Result<Table, StudyError> {
             .planner
             .plan_semi_static_rolling(study.input(), period)?;
         let report =
-            vmcw_emulator::engine::emulate(study.input(), &plan, &study.config().emulator)?;
+            vmcw_emulator::engine::emulate(study.input(), &plan, &study.config().emulator, None)?;
         t.push_row([
             period.to_string(),
             plan.provisioned_hosts().to_string(),

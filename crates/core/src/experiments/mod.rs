@@ -26,7 +26,9 @@
 //! | `fig10`/`fig11` | average/peak utilisation CDFs |
 //! | `fig12`  | running-server distribution (dynamic) |
 //! | `fig13`–`fig16` | sensitivity to the utilization bound |
+//! | `ablation` | planner design choices (`DESIGN.md` §4) |
 
+mod ablation;
 mod eval_figs;
 mod extensions;
 mod micro;
@@ -34,6 +36,7 @@ mod sensitivity;
 mod summary;
 mod workload_figs;
 
+pub use ablation::ablation;
 pub use eval_figs::{fig10, fig11, fig12, fig7, fig8, fig9, table3};
 pub use extensions::{
     constraint_cost, correlation_stability_experiment, future_mechanisms, interval_sweep,
@@ -46,13 +49,12 @@ pub use workload_figs::{fig1, fig2, fig3, fig4, fig5, fig6, table1, table2};
 
 use crate::render::Table;
 use crate::study::{Study, StudyConfig, StudyError, StudyRun};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vmcw_consolidation::planner::PlannerKind;
 use vmcw_trace::datacenters::DataCenterId;
 
 /// Configuration shared by the whole figure suite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteConfig {
     /// Server-count scale (1.0 reproduces Table 2's populations).
     pub scale: f64,
@@ -143,7 +145,7 @@ impl Suite {
     /// Propagates [`StudyError`] from the study (planner or emulator).
     pub fn run(&mut self, dc: DataCenterId, kind: PlannerKind) -> Result<&StudyRun, StudyError> {
         if !self.runs.contains_key(&(dc, kind)) {
-            let run = self.study(dc).run(kind)?;
+            let run = self.study(dc).run(kind, None)?;
             self.runs.insert((dc, kind), run);
         }
         Ok(&self.runs[&(dc, kind)])
@@ -176,13 +178,14 @@ pub const ALL_EXPERIMENTS: [&str; 18] = [
 
 /// Extension experiments quantifying the paper's §7 discussion (not
 /// figures of the paper itself).
-pub const EXTENSION_EXPERIMENTS: [&str; 6] = [
+pub const EXTENSION_EXPERIMENTS: [&str; 7] = [
     "intervals",
     "futurework",
     "stability",
     "constraints",
     "timeline",
     "rolling",
+    "ablation",
 ];
 
 /// Runs one experiment by id, returning its table(s).
@@ -233,6 +236,7 @@ pub fn run_experiment(id: &str, suite: &mut Suite) -> Result<Vec<Table>, String>
         "constraints" => constraint_cost(suite).map(|t| vec![t]).map_err(map_err),
         "timeline" => timeline(suite).map(|t| vec![t]).map_err(map_err),
         "rolling" => rolling_sweep(suite).map(|t| vec![t]).map_err(map_err),
+        "ablation" => ablation(suite).map(|t| vec![t]).map_err(map_err),
         other => Err(format!("unknown experiment id: {other}")),
     }
 }
@@ -277,6 +281,31 @@ mod tests {
         for id in ["table1", "olio", "migration", "emuval"] {
             let tables = run_experiment(id, &mut suite).unwrap();
             assert!(!tables[0].is_empty(), "{id} produced no rows");
+        }
+    }
+
+    #[test]
+    fn ablation_reports_a_positive_value_for_every_design_choice() {
+        let mut suite = Suite::new(SuiteConfig::quick());
+        let table = run_experiment("ablation", &mut suite).unwrap().remove(0);
+        let value = table.columns.iter().position(|c| c == "value").unwrap();
+        for choice in [
+            "pcp-body",
+            "predictor",
+            "migration-cost",
+            "order-key",
+            "packing",
+            "stochastic-variant",
+            "power-curve",
+        ] {
+            let rows: Vec<_> = table.rows.iter().filter(|r| r[0] == choice).collect();
+            assert!(
+                rows.iter().any(|r| {
+                    let v: f64 = r[value].parse().unwrap();
+                    v.is_finite() && v > 0.0
+                }),
+                "{choice}: no positive, finite value in {rows:?}"
+            );
         }
     }
 }

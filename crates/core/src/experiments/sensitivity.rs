@@ -53,7 +53,10 @@ pub fn sensitivity(suite: &mut Suite, dc: DataCenterId) -> Result<Table, StudyEr
         let mut config = *study.config();
         config.planner = config.planner.with_utilization_bound(bound);
         let swept = crate::study::Study::from_workload(&config, study.workload().clone());
-        let dynamic = swept.run(PlannerKind::Dynamic)?.cost.provisioned_hosts;
+        let dynamic = swept
+            .run(PlannerKind::Dynamic, None)?
+            .cost
+            .provisioned_hosts;
         t.push_row([
             format!("{bound:.2}"),
             dynamic.to_string(),

@@ -41,32 +41,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Writes `bytes` to `path` atomically: a sibling temp file is written,
-/// fsynced, and renamed over the target, so readers (and crashes) see
-/// either the old content or the new — never a truncated file.
-///
-/// Parent directories are created as needed.
-///
-/// # Errors
-///
-/// Any underlying I/O error.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(dir) = dir {
-        fs::create_dir_all(dir)?;
-    }
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let mut tmp = path.to_path_buf();
-    tmp.set_file_name(format!(".{}.tmp", file_name.to_string_lossy()));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
+pub use vmcw_trace::io::write_atomic;
 
 /// A corrupt or truncated journal tail: everything from `offset` on was
 /// discarded, the records before it form the trusted prefix.

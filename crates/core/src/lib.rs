@@ -29,7 +29,7 @@
 //!
 //! let config = StudyConfig::quick(DataCenterId::Airlines, 1);
 //! let study = Study::prepare(&config);
-//! let run = study.run(PlannerKind::Stochastic)?;
+//! let run = study.run(PlannerKind::Stochastic, None)?;
 //! assert!(run.cost.provisioned_hosts > 0);
 //! # Ok::<(), vmcw_core::study::StudyError>(())
 //! ```
@@ -63,8 +63,8 @@ pub mod prelude {
     pub use crate::render::Table;
     pub use crate::study::{Study, StudyConfig, StudyError, StudyRun};
     pub use crate::supervise::{
-        resume_study, run_study, run_study_opts, CancelToken, CellBudget, CellOutcome,
-        CellRetryPolicy, RunOptions, StudyReport, StudySpec,
+        resume_study_opts, run_study_opts, CancelToken, CellBudget, CellOutcome, CellRetryPolicy,
+        RunOptions, StudyReport, StudySpec,
     };
     pub use vmcw_cluster::cost::FacilityCostModel;
     pub use vmcw_cluster::server::ServerModel;

@@ -4,7 +4,6 @@
 //! receive) a data-center workload, plan it with a consolidation variant,
 //! replay the evaluation window through the emulator, and compute costs.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -12,7 +11,7 @@ use vmcw_cluster::cost::FacilityCostModel;
 use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
 use vmcw_consolidation::placement::PackError;
 use vmcw_consolidation::planner::{ConsolidationPlan, Planner, PlannerKind};
-use vmcw_emulator::engine::{emulate, emulate_with_faults, EmulationReport, EmulatorConfig};
+use vmcw_emulator::engine::{emulate, EmulationReport, EmulatorConfig};
 use vmcw_emulator::engine::EmulatorError;
 use vmcw_emulator::faults::FaultConfig;
 use vmcw_emulator::report::{cost_summary, CostSummary};
@@ -61,7 +60,7 @@ impl From<EmulatorError> for StudyError {
 }
 
 /// Configuration of one study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyConfig {
     /// The modelled data center.
     pub dc: DataCenterId,
@@ -121,7 +120,7 @@ impl StudyConfig {
 }
 
 /// One planner's outcome within a study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyRun {
     /// The planner variant.
     pub kind: PlannerKind,
@@ -199,39 +198,22 @@ impl Study {
         Ok(self.config.planner.plan(kind, &self.input)?)
     }
 
-    /// Plans with `kind` and emulates the evaluation window.
+    /// Plans with `kind` and replays the evaluation window, under fault
+    /// injection when `faults` is given. Runs sharing `faults.seed` face
+    /// the identical fault timeline, so ledgers are comparable across
+    /// planners.
     ///
     /// # Errors
     ///
     /// Propagates [`PackError`] from the planner and [`EmulatorError`]
     /// from the replay.
-    pub fn run(&self, kind: PlannerKind) -> Result<StudyRun, StudyError> {
-        let plan = self.config.planner.plan(kind, &self.input)?;
-        let report = emulate(&self.input, &plan, &self.config.emulator)?;
-        let cost = cost_summary(&report, &self.config.cost_model);
-        Ok(StudyRun {
-            kind,
-            plan,
-            report,
-            cost,
-        })
-    }
-
-    /// Plans with `kind` and replays the evaluation window under fault
-    /// injection. Runs sharing `faults.seed` face the identical fault
-    /// timeline, so ledgers are comparable across planners.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PackError`] from the planner and [`EmulatorError`]
-    /// from the faulted replay.
-    pub fn run_faulted(
+    pub fn run(
         &self,
         kind: PlannerKind,
-        faults: &FaultConfig,
+        faults: Option<&FaultConfig>,
     ) -> Result<StudyRun, StudyError> {
         let plan = self.config.planner.plan(kind, &self.input)?;
-        let report = emulate_with_faults(&self.input, &plan, &self.config.emulator, faults)?;
+        let report = emulate(&self.input, &plan, &self.config.emulator, faults)?;
         let cost = cost_summary(&report, &self.config.cost_model);
         Ok(StudyRun {
             kind,
@@ -250,7 +232,7 @@ impl Study {
     pub fn run_evaluated(&self) -> Result<BTreeMap<&'static str, StudyRun>, StudyError> {
         PlannerKind::EVALUATED
             .iter()
-            .map(|&k| Ok((k.label(), self.run(k)?)))
+            .map(|&k| Ok((k.label(), self.run(k, None)?)))
             .collect()
     }
 }
@@ -279,7 +261,7 @@ impl Scenario {
 }
 
 /// One row of a what-if comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// Scenario label.
     pub label: String,
@@ -308,7 +290,7 @@ pub fn compare(study: &Study, scenarios: &[Scenario]) -> Result<Vec<ComparisonRo
         .map(|s| {
             let mut config = *study.config();
             config.planner = s.planner;
-            let run = Study::from_workload(&config, study.workload().clone()).run(s.kind)?;
+            let run = Study::from_workload(&config, study.workload().clone()).run(s.kind, None)?;
             Ok(ComparisonRow {
                 label: s.label.clone(),
                 hosts: run.cost.provisioned_hosts,
@@ -353,10 +335,10 @@ mod tests {
     #[test]
     fn study_is_deterministic() {
         let a = quick(DataCenterId::Beverage)
-            .run(PlannerKind::SemiStatic)
+            .run(PlannerKind::SemiStatic, None)
             .unwrap();
         let b = quick(DataCenterId::Beverage)
-            .run(PlannerKind::SemiStatic)
+            .run(PlannerKind::SemiStatic, None)
             .unwrap();
         assert_eq!(a.cost.provisioned_hosts, b.cost.provisioned_hosts);
         assert_eq!(a.report.energy_kwh, b.report.energy_kwh);
@@ -403,19 +385,19 @@ mod tests {
         use vmcw_emulator::faults::FaultConfig;
         let study = quick(DataCenterId::Banking);
         // Zero-rate fault replay reproduces the plain run bit-for-bit.
-        let plain = study.run(PlannerKind::Dynamic).unwrap();
+        let plain = study.run(PlannerKind::Dynamic, None).unwrap();
         let zero = study
-            .run_faulted(PlannerKind::Dynamic, &FaultConfig::disabled())
+            .run(PlannerKind::Dynamic, Some(&FaultConfig::disabled()))
             .unwrap();
         assert_eq!(plain.report, zero.report);
         // A faulted run is reproducible from its seed.
         let faults = FaultConfig::baseline(9);
-        let a = study.run_faulted(PlannerKind::Dynamic, &faults).unwrap();
-        let b = study.run_faulted(PlannerKind::Dynamic, &faults).unwrap();
+        let a = study.run(PlannerKind::Dynamic, Some(&faults)).unwrap();
+        let b = study.run(PlannerKind::Dynamic, Some(&faults)).unwrap();
         assert_eq!(a.report, b.report);
         // All planners run under the same fault schedule.
         for kind in PlannerKind::EVALUATED {
-            let run = study.run_faulted(kind, &faults).unwrap();
+            let run = study.run(kind, Some(&faults)).unwrap();
             assert_eq!(run.report.hours, 5 * 24);
         }
     }
@@ -423,8 +405,8 @@ mod tests {
     #[test]
     fn dynamic_saves_energy_on_bursty_banking() {
         let study = quick(DataCenterId::Banking);
-        let semi = study.run(PlannerKind::SemiStatic).unwrap();
-        let dynamic = study.run(PlannerKind::Dynamic).unwrap();
+        let semi = study.run(PlannerKind::SemiStatic, None).unwrap();
+        let dynamic = study.run(PlannerKind::Dynamic, None).unwrap();
         assert!(
             dynamic.cost.energy_kwh < semi.cost.energy_kwh,
             "dynamic {} kWh vs semi-static {} kWh",

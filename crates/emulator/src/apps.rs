@@ -16,11 +16,10 @@
 //!   amount of CPU or memory (with small measurement noise).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Power-law resource model of a request-driven web application:
 /// `resource(t) = coeff × t^exponent` for throughput `t` in ops/s.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WebAppModel {
     /// CPU coefficient (cores at 1 op/s).
     pub cpu_coeff: f64,
@@ -82,7 +81,7 @@ impl WebAppModel {
 
 /// A daxpy-like batch kernel: compute-bound with a fixed working set per
 /// problem size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchKernelModel {
     /// Bytes per vector element (daxpy touches two f64 vectors: 16).
     pub bytes_per_element: f64,
@@ -113,7 +112,7 @@ impl BatchKernelModel {
 /// The micro-benchmark "filler" of §5.2: "a micro-benchmark that can use
 /// either a specified amount of memory or consume a specific number of
 /// cores". Consumption carries small multiplicative measurement noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MicroBenchmark {
     /// Relative noise (standard deviation) on achieved consumption.
     pub noise_rel_std: f64,

@@ -7,7 +7,6 @@
 //! physical server captures the additional demand from virtual machines
 //! that can not be met within the server's capacity" (§5.3).
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
@@ -82,7 +81,7 @@ impl From<TraceGapError> for EmulatorError {
 }
 
 /// Emulator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmulatorConfig {
     /// Fraction of co-located VMs' memory recovered by page deduplication
     /// when two or more VMs share a host (§5.2: configurable; 0 for the
@@ -103,7 +102,7 @@ impl Default for EmulatorConfig {
 }
 
 /// Per-host aggregate over the whole evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostSummary {
     /// The host.
     pub host: HostId,
@@ -125,7 +124,7 @@ pub struct HostSummary {
 }
 
 /// Per-hour aggregate across all hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HourSummary {
     /// Evaluation-relative hour.
     pub hour: usize,
@@ -143,7 +142,7 @@ pub struct HourSummary {
 }
 
 /// Full emulation output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmulationReport {
     /// Planner that produced the plan.
     pub planner: vmcw_consolidation::planner::PlannerKind,
@@ -171,7 +170,7 @@ pub struct EmulationReport {
 
 /// Per-consolidation-interval aggregate (the paper reports most
 /// evaluation numbers per 2-hour interval, not per hour).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalSummary {
     /// Interval index.
     pub interval: usize,
@@ -229,43 +228,22 @@ impl EmulationReport {
     }
 }
 
-/// Replays the evaluation window of `input` against `plan`.
-///
-/// # Errors
-///
-/// Returns [`EmulatorError`] if the plan references hosts missing from
-/// its data center or places a VM without a trace.
-pub fn emulate(
-    input: &PlanningInput,
-    plan: &ConsolidationPlan,
-    config: &EmulatorConfig,
-) -> Result<EmulationReport, EmulatorError> {
-    replay_to_completion(input, plan, config, None)
-}
-
-/// Replays the evaluation window with seeded fault injection: host
-/// crashes with HA evacuation, migration failures with bounded retry,
-/// and trace dropouts survived by last-good-value hold.
+/// Replays the evaluation window of `input` against `plan`, with seeded
+/// fault injection when `faults` is given: host crashes with HA
+/// evacuation, migration failures with bounded retry, and trace dropouts
+/// survived by last-good-value hold.
 ///
 /// Runs sharing `faults.seed` see the *same* fault timeline regardless
 /// of planner, so the resulting [`FaultLedger`]s are directly
 /// comparable. With every fault rate zero the output is bit-identical
-/// to [`emulate`].
+/// to a replay without faults.
 ///
 /// # Errors
 ///
-/// Returns [`EmulatorError`] for invalid fault configs, structural plan
-/// errors, or trace gaps that exceed the staleness budget.
-pub fn emulate_with_faults(
-    input: &PlanningInput,
-    plan: &ConsolidationPlan,
-    config: &EmulatorConfig,
-    faults: &FaultConfig,
-) -> Result<EmulationReport, EmulatorError> {
-    replay_to_completion(input, plan, config, Some(faults))
-}
-
-fn replay_to_completion(
+/// Returns [`EmulatorError`] if the plan references hosts missing from
+/// its data center or places a VM without a trace, for invalid fault
+/// configs, or for trace gaps that exceed the staleness budget.
+pub fn emulate(
     input: &PlanningInput,
     plan: &ConsolidationPlan,
     config: &EmulatorConfig,
@@ -424,10 +402,10 @@ impl Default for Heartbeat {
 
 /// A stepwise, checkpointable replay of one plan.
 ///
-/// [`emulate`] / [`emulate_with_faults`] drive a `Replay` to completion
-/// in one call; a crash-safe study instead calls [`Replay::step`] one
-/// hour at a time, taking a [`ReplayCheckpoint`] at its cadence and
-/// rebuilding via [`Replay::resume`] after an interruption. Resuming
+/// [`emulate`] drives a `Replay` to completion in one call; a crash-safe
+/// study instead calls [`Replay::step`] one hour at a time, taking a
+/// [`ReplayCheckpoint`] at its cadence and rebuilding via
+/// [`Replay::resume`] after an interruption. Resuming
 /// from any checkpoint yields a final report *bit-identical* to an
 /// uninterrupted run: checkpoints carry every accumulator as raw IEEE
 /// bits and the in-effect placement in its exact storage order, and the
@@ -1136,7 +1114,7 @@ mod tests {
     fn semi_static_keeps_all_hosts_active() {
         let (input, planner) = setup(DataCenterId::Airlines);
         let plan = planner.plan_semi_static(&input).unwrap();
-        let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+        let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         assert_eq!(report.hours, 72);
         for hour in &report.per_hour {
             assert_eq!(hour.active_hosts, report.provisioned_hosts);
@@ -1152,8 +1130,8 @@ mod tests {
         let fixed = planner.plan_semi_static(&input).unwrap();
         let dynamic = planner.plan_dynamic(&input).unwrap();
         let cfg = EmulatorConfig::default();
-        let fixed_report = emulate(&input, &fixed, &cfg).unwrap();
-        let dyn_report = emulate(&input, &dynamic, &cfg).unwrap();
+        let fixed_report = emulate(&input, &fixed, &cfg, None).unwrap();
+        let dyn_report = emulate(&input, &dynamic, &cfg, None).unwrap();
         assert!(
             dyn_report.mean_active_hosts() < fixed_report.provisioned_hosts as f64,
             "dynamic must switch servers off some of the time"
@@ -1172,7 +1150,7 @@ mod tests {
         // exceed it only via trace drift, so utilisation stays near ≤1.
         let (input, planner) = setup(DataCenterId::Airlines);
         let plan = planner.plan_semi_static(&input).unwrap();
-        let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+        let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         for host in &report.per_host {
             assert!(host.avg_cpu_util <= 1.0 + 1e-9);
             assert!(host.avg_mem_util <= 1.05, "mem util {}", host.avg_mem_util);
@@ -1183,7 +1161,7 @@ mod tests {
     fn energy_equals_per_hour_watt_sum() {
         let (input, planner) = setup(DataCenterId::Airlines);
         let plan = planner.plan_stochastic(&input).unwrap();
-        let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+        let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         let total_wh: f64 = report.per_hour.iter().map(|h| h.watts).sum();
         assert!((report.energy_kwh - total_wh / 1000.0).abs() < 1e-9);
     }
@@ -1192,7 +1170,7 @@ mod tests {
     fn dedup_reduces_memory_utilisation() {
         let (input, planner) = setup(DataCenterId::Airlines);
         let plan = planner.plan_semi_static(&input).unwrap();
-        let base = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+        let base = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         let dedup = emulate(
             &input,
             &plan,
@@ -1200,6 +1178,7 @@ mod tests {
                 dedup_savings_frac: 0.3,
                 ..EmulatorConfig::default()
             },
+            None,
         )
         .unwrap();
         let mean_mem = |r: &EmulationReport| {
@@ -1212,7 +1191,7 @@ mod tests {
     fn contention_fraction_is_a_fraction() {
         let (input, planner) = setup(DataCenterId::Banking);
         let plan = planner.plan_dynamic(&input).unwrap();
-        let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+        let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         let f = report.contention_time_fraction();
         assert!((0.0..=1.0).contains(&f));
         // Every contention sample must be positive.
@@ -1223,7 +1202,7 @@ mod tests {
     fn interval_summaries_fold_hours() {
         let (input, planner) = setup(DataCenterId::Banking);
         let plan = planner.plan_dynamic(&input).unwrap();
-        let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+        let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         let intervals = report.interval_summaries(2);
         assert_eq!(intervals.len(), report.hours.div_ceil(2));
         // Energy conservation: interval energy sums to the total.
@@ -1245,7 +1224,7 @@ mod tests {
     fn migration_counters_propagate() {
         let (input, planner) = setup(DataCenterId::Banking);
         let plan = planner.plan_dynamic(&input).unwrap();
-        let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+        let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         assert_eq!(report.migrations, plan.migrations.len());
         assert!(report.failed_migrations <= report.migrations);
     }
@@ -1266,9 +1245,8 @@ mod tests {
             let (input, planner) = setup(dc);
             for kind in vmcw_consolidation::planner::PlannerKind::EVALUATED {
                 let plan = planner.plan(kind, &input).unwrap();
-                let plain = emulate(&input, &plan, &cfg).unwrap();
-                let faulted =
-                    emulate_with_faults(&input, &plan, &cfg, &FaultConfig::disabled()).unwrap();
+                let plain = emulate(&input, &plan, &cfg, None).unwrap();
+                let faulted = emulate(&input, &plan, &cfg, Some(&FaultConfig::disabled())).unwrap();
                 assert_eq!(plain, faulted, "{dc:?}/{kind:?} diverged under zero-rate faults");
                 assert!(faulted.faults.is_clean());
             }
@@ -1286,8 +1264,8 @@ mod tests {
             host_mttr_hours: 4.0,
             ..FaultConfig::disabled()
         };
-        let plain = emulate(&input, &plan, &cfg).unwrap();
-        let faulted = emulate_with_faults(&input, &plan, &cfg, &faults).unwrap();
+        let plain = emulate(&input, &plan, &cfg, None).unwrap();
+        let faulted = emulate(&input, &plan, &cfg, Some(&faults)).unwrap();
         assert!(faulted.faults.host_crashes > 0, "36h MTBF over 72h must crash");
         // A crashed host draws no power.
         assert!(faulted.energy_kwh < plain.energy_kwh);
@@ -1303,8 +1281,8 @@ mod tests {
         let plan = planner.plan_dynamic(&input).unwrap();
         let cfg = EmulatorConfig::default();
         let faults = FaultConfig::baseline(17);
-        let a = emulate_with_faults(&input, &plan, &cfg, &faults).unwrap();
-        let b = emulate_with_faults(&input, &plan, &cfg, &faults).unwrap();
+        let a = emulate(&input, &plan, &cfg, Some(&faults)).unwrap();
+        let b = emulate(&input, &plan, &cfg, Some(&faults)).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1319,7 +1297,7 @@ mod tests {
             migration_failure_prob: 0.5,
             ..FaultConfig::disabled()
         };
-        let report = emulate_with_faults(&input, &plan, &cfg, &faults).unwrap();
+        let report = emulate(&input, &plan, &cfg, Some(&faults)).unwrap();
         assert!(
             report.faults.failed_migrations > 0,
             "50% failure rate must fail some attempts"
@@ -1337,7 +1315,7 @@ mod tests {
             trace_dropout_prob: 0.05,
             ..FaultConfig::disabled()
         };
-        let report = emulate_with_faults(&input, &plan, &cfg, &faults).unwrap();
+        let report = emulate(&input, &plan, &cfg, Some(&faults)).unwrap();
         assert!(report.faults.stale_sample_hours > 0);
         // Held values keep utilisation finite.
         for host in &report.per_host {
@@ -1361,7 +1339,7 @@ mod tests {
         }
         let cfg = EmulatorConfig::default();
         let report =
-            emulate_with_faults(&input, &plan, &cfg, &FaultConfig::disabled()).unwrap();
+            emulate(&input, &plan, &cfg, Some(&FaultConfig::disabled())).unwrap();
         assert_eq!(report.faults.stale_sample_hours, 1);
         for host in &report.per_host {
             assert!(host.avg_cpu_util.is_finite());
@@ -1386,8 +1364,7 @@ mod tests {
             max_stale_hours: 6,
             ..FaultConfig::disabled()
         };
-        let err =
-            emulate_with_faults(&input, &plan, &EmulatorConfig::default(), &faults).unwrap_err();
+        let err = emulate(&input, &plan, &EmulatorConfig::default(), Some(&faults)).unwrap_err();
         assert!(matches!(err, EmulatorError::TraceGap(_)), "{err}");
     }
 
@@ -1409,7 +1386,7 @@ mod tests {
         };
         for kind in vmcw_consolidation::planner::PlannerKind::EVALUATED {
             let plan = planner.plan(kind, &input).unwrap();
-            let baseline = emulate_with_faults(&input, &plan, &cfg, &faults).unwrap();
+            let baseline = emulate(&input, &plan, &cfg, Some(&faults)).unwrap();
             for kill_hour in [1, 13, 29, 71, 72] {
                 let mut first = Replay::new(&input, &plan, &cfg, Some(&faults)).unwrap();
                 for _ in 0..kill_hour {
@@ -1439,7 +1416,7 @@ mod tests {
         let (input, planner) = setup(DataCenterId::Airlines);
         let cfg = EmulatorConfig::default();
         let plan = planner.plan_dynamic(&input).unwrap();
-        let baseline = emulate(&input, &plan, &cfg).unwrap();
+        let baseline = emulate(&input, &plan, &cfg, None).unwrap();
         let mut first = Replay::new(&input, &plan, &cfg, None).unwrap();
         for _ in 0..17 {
             first.step().unwrap();
@@ -1517,8 +1494,7 @@ mod tests {
             migration_failure_prob: f64::NAN,
             ..FaultConfig::disabled()
         };
-        let err =
-            emulate_with_faults(&input, &plan, &EmulatorConfig::default(), &faults).unwrap_err();
+        let err = emulate(&input, &plan, &EmulatorConfig::default(), Some(&faults)).unwrap_err();
         assert!(matches!(err, EmulatorError::InvalidFaultConfig { .. }));
     }
 }

@@ -23,7 +23,6 @@
 //! timeline for every planner, regardless of how many draws each one
 //! happens to make.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use vmcw_cluster::datacenter::HostId;
@@ -33,7 +32,7 @@ use vmcw_migration::RetryPolicy;
 use crate::engine::EmulatorError;
 
 /// Fault-injection configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the keyed fault streams. Runs sharing a seed share the
     /// whole fault timeline.
@@ -146,7 +145,7 @@ impl Default for FaultConfig {
 }
 
 /// An unrecoverable gap in a VM's demand trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceGapError {
     /// The VM whose trace gapped.
     pub vm: VmId,
@@ -157,7 +156,7 @@ pub struct TraceGapError {
 }
 
 /// Why a trace gap was fatal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceGapReason {
     /// No good sample was ever observed for the VM, so there is nothing
     /// to hold.
@@ -189,7 +188,7 @@ impl fmt::Display for TraceGapError {
 impl Error for TraceGapError {}
 
 /// Tally of every fault injected and survived during one replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultLedger {
     /// Host crash events (outage onsets among provisioned hosts).
     pub host_crashes: usize,
@@ -216,7 +215,7 @@ impl FaultLedger {
 }
 
 /// One contiguous outage of a host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostOutage {
     /// The crashed host.
     pub host: HostId,
@@ -229,7 +228,7 @@ pub struct HostOutage {
 /// The complete crash timeline of a replay: per-host outage windows,
 /// fully determined by `(seed, host id)` — independent of planner,
 /// placement, and draw order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashSchedule {
     outages: Vec<Vec<(usize, usize)>>,
     hours: usize,

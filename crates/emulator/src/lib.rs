@@ -42,7 +42,7 @@
 //!     .generate(1);
 //! let input = PlanningInput::from_workload(&workload, 7, VirtualizationModel::default());
 //! let plan = Planner::baseline().plan_semi_static(&input).unwrap();
-//! let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+//! let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
 //! assert_eq!(report.hours, 72);
 //! assert!(report.faults.is_clean());
 //! ```
@@ -60,8 +60,8 @@ pub mod validate;
 
 pub use checkpoint::{CheckpointError, ReplayCheckpoint};
 pub use engine::{
-    emulate, emulate_with_faults, EmulationReport, EmulatorConfig, EmulatorError, Heartbeat,
-    HostSummary, HourSummary, Replay,
+    emulate, EmulationReport, EmulatorConfig, EmulatorError, Heartbeat, HostSummary, HourSummary,
+    Replay,
 };
 pub use faults::{CrashSchedule, FaultConfig, FaultLedger, HostOutage, TraceGapError};
 pub use validate::{

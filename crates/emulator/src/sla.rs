@@ -9,7 +9,6 @@
 //! violation statistics.
 
 use crate::engine::EmulatorError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
@@ -18,7 +17,7 @@ use vmcw_consolidation::planner::ConsolidationPlan;
 use vmcw_trace::stats::Cdf;
 
 /// Violation statistics of one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmSla {
     /// The VM.
     pub vm: VmId,
@@ -43,7 +42,7 @@ impl VmSla {
 }
 
 /// SLA analysis of a whole plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlaReport {
     /// Per-VM statistics, ascending VM id.
     pub per_vm: Vec<VmSla>,
@@ -182,9 +181,13 @@ mod tests {
     fn total_unserved_matches_emulator_contention() {
         let (input, plan) = setup(DataCenterId::Banking, PlannerKind::Dynamic);
         let sla = analyze(&input, &plan).unwrap();
-        let report =
-            crate::engine::emulate(&input, &plan, &crate::engine::EmulatorConfig::default())
-                .unwrap();
+        let report = crate::engine::emulate(
+            &input,
+            &plan,
+            &crate::engine::EmulatorConfig::default(),
+            None,
+        )
+        .unwrap();
         let capacity = plan.dc.template().capacity().cpu_rpe2;
         let emulator_unserved: f64 = report
             .per_hour

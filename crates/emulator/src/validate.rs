@@ -17,12 +17,11 @@
 use crate::apps::{BatchKernelModel, MicroBenchmark, WebAppModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vmcw_trace::stats;
 
 /// Which benchmark drives the validation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ValidationWorkload {
     /// RuBiS-like web application (noisier: request-mix variation).
     RubisLike,
@@ -52,7 +51,7 @@ impl ValidationWorkload {
 }
 
 /// Result of one validation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     /// Which workload was used.
     pub workload: ValidationWorkload,

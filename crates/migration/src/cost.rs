@@ -12,15 +12,14 @@
 //! the power saved by switching a host off for one consolidation interval.
 
 use crate::precopy::{HostLoad, MigrationOutcome, PrecopyConfig, VmMigrationProfile};
-use serde::{Deserialize, Serialize};
 
 /// Converts migration work into a scalar cost comparable to power savings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCostModel {
     /// Extra power drawn on source + target while the copy runs, in watts.
     pub copy_overhead_w: f64,
     /// Risk/SLA penalty per GB of memory moved, in watt-hour equivalents.
-    /// This is the knob the ablation benchmarks sweep; 0 makes the planner
+    /// This is the knob the `ablation` experiment sweeps; 0 makes the planner
     /// migration-oblivious.
     pub risk_penalty_wh_per_gb: f64,
     /// Flat penalty for a migration that failed to converge, in watt-hour
@@ -89,7 +88,7 @@ impl Default for MigrationCostModel {
 }
 
 /// A migration outcome together with its scalar cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCostReport {
     /// Scalar cost in watt-hour equivalents.
     pub cost_wh: f64,

@@ -17,10 +17,9 @@
 //!   host.
 
 use crate::precopy::{HostLoad, MigrationOutcome, PrecopyConfig, VmMigrationProfile};
-use serde::{Deserialize, Serialize};
 
 /// A live-migration mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MigrationMechanism {
     /// Iterative pre-copy (Xen/ESX circa 2012).
     PreCopy,

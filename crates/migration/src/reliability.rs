@@ -8,7 +8,6 @@
 //! reservation via the *utilization bound* `U` (reservation = `1 − U`).
 
 use crate::precopy::{HostLoad, PrecopyConfig, VmMigrationProfile};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -45,7 +44,7 @@ fn check_fraction(field: &'static str, value: f64) -> Result<f64, PolicyError> {
 }
 
 /// Host-load thresholds for reliable live migration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityThresholds {
     /// Maximum CPU utilisation for reliable migration.
     pub max_cpu_util: f64,
@@ -92,7 +91,7 @@ impl Default for ReliabilityThresholds {
 ///
 /// Placements under dynamic consolidation may only use
 /// `utilization_bound = 1 − reservation` of each host resource.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReservationPolicy {
     /// Reserved CPU fraction.
     pub cpu_frac: f64,

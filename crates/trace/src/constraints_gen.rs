@@ -10,11 +10,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Relative frequencies of the §2.2.4 constraint kinds, as fractions of
 /// the server population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConstraintMix {
     /// Fraction of servers that form an HA anti-affinity pair with a
     /// randomly chosen partner.
@@ -71,7 +70,7 @@ impl Default for ConstraintMix {
 
 /// A synthesised constraint list over `n` server indices (`0..n`), to be
 /// mapped onto VM ids by the caller.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SynthesisedConstraints {
     /// Anti-affinity pairs (HA).
     pub anti_pairs: Vec<(u32, u32)>,

@@ -26,11 +26,10 @@ use crate::workload::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the four studied data centers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DataCenterId {
     /// Workload A — production data center of a Fortune 100 bank.
     Banking,
@@ -117,7 +116,7 @@ impl fmt::Display for DataCenterId {
 
 /// A monitored source server: hardware capacity plus 30+ days of hourly
 /// CPU and memory demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceServer {
     /// Warehouse identifier.
     pub id: SourceId,
@@ -155,7 +154,7 @@ impl SourceServer {
 }
 
 /// A generated data-center workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedWorkload {
     /// Which data center this models.
     pub dc: DataCenterId,
@@ -218,7 +217,7 @@ impl GeneratedWorkload {
 }
 
 /// Configuration of the synthetic workload generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorConfig {
     dc: DataCenterId,
     scale: f64,

@@ -12,10 +12,9 @@
 //! that.
 
 use crate::series::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 /// A fitted linear trend `value ≈ intercept + slope × step`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearTrend {
     /// Value at step 0.
     pub intercept: f64,

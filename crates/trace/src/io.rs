@@ -23,6 +23,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hard cap on per-server trace hours accepted from an external CSV
 /// (five leap years of hourly samples — far beyond any study horizon).
@@ -319,22 +320,53 @@ pub fn read_csv<R: Read>(dc: DataCenterId, reader: R) -> Result<GeneratedWorkloa
     })
 }
 
-/// Saves a workload to a CSV file.
+/// Saves a workload to a CSV file, atomically (see [`write_atomic`]):
+/// a crash mid-save never leaves a torn trace behind.
 ///
 /// # Errors
 ///
 /// Propagates file-creation and write errors.
 pub fn save(workload: &GeneratedWorkload, path: &Path) -> io::Result<()> {
-    // Atomic: write a sibling temp file, fsync, then rename over the
-    // target, so a crash mid-save never leaves a torn trace behind.
+    let mut csv = Vec::new();
+    write_csv(workload, &mut csv)?;
+    write_atomic(path, &csv)
+}
+
+/// Writes `bytes` to `path` atomically: a sibling temp file is written,
+/// fsynced, and renamed over the target, so readers (and crashes) see
+/// either the old content or the new — never a truncated file. The temp
+/// name is unique per process and per call, so concurrent writers to
+/// one path never share a temp file; the last rename wins, whole.
+///
+/// Parent directories are created as needed.
+///
+/// # Errors
+///
+/// Any underlying I/O error.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
+    if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
     let file_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp = path.with_file_name(format!(".{}.tmp", file_name.to_string_lossy()));
-    let file = std::fs::File::create(&tmp)?;
-    write_csv(workload, &file)?;
-    file.sync_all()?;
-    std::fs::rename(&tmp, path)
+    let tmp = path.with_file_name(format!(
+        ".{}.{}.{}.tmp",
+        file_name.to_string_lossy(),
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Loads a workload from a CSV file.
@@ -455,6 +487,31 @@ mod tests {
         save(&original, &path).unwrap();
         let loaded = load(DataCenterId::Beverage, &path).unwrap();
         assert_eq!(loaded.servers.len(), original.servers.len());
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_each_land_whole() {
+        let dir = std::env::temp_dir().join(format!("vmcw-trace-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("shared.txt");
+        let payloads: Vec<Vec<u8>> = (0..8u8)
+            .map(|i| vec![b'a' + i; 4096 * (1 + usize::from(i))])
+            .collect();
+        std::thread::scope(|s| {
+            for payload in &payloads {
+                let path = &path;
+                s.spawn(move || {
+                    for _ in 0..25 {
+                        write_atomic(path, payload).unwrap();
+                    }
+                });
+            }
+        });
+        let got = std::fs::read(&path).unwrap();
+        assert!(payloads.contains(&got), "torn file of {} bytes", got.len());
+        // Every temp file was renamed away.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! metrics flow through the warehouse as constraints (network/disk
 //! throughput identify hosts with sufficient link bandwidth).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the metrics collected by the monitoring agent (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum Metric {
     /// `% Total Processor Time` — total processor time.
@@ -122,7 +121,7 @@ impl fmt::Display for Metric {
 }
 
 /// Unit of a monitored metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricUnit {
     /// A percentage in `0..=100`.
     Percent,
@@ -147,7 +146,7 @@ impl fmt::Display for MetricUnit {
 }
 
 /// A single monitored observation: a minute timestamp and a value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Minutes since the monitoring epoch.
     pub minute: u64,

@@ -8,8 +8,6 @@
 //! stochastic (PCP) planner additionally relies on [`pearson`] correlation
 //! and [`percentile`] sizing.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean, or `None` for an empty slice.
 #[must_use]
 pub fn mean(values: &[f64]) -> Option<f64> {
@@ -119,7 +117,7 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
 
 /// The five-number summary of a sample (min, Q1, median, Q3, max) — the
 /// compact description the `vmcw analyze` CLI prints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiveNumberSummary {
     /// Minimum.
     pub min: f64,
@@ -158,7 +156,7 @@ impl FiveNumberSummary {
 /// Every figure in the paper's workload study (Figs 2–6) and most of the
 /// evaluation figures (Figs 9–12) are CDFs; this type is both the analysis
 /// tool and the output format of the figure-reproduction harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

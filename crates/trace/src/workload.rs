@@ -21,7 +21,6 @@
 use crate::series::{StepSecs, TimeSeries};
 use crate::synth::{gaussian, smooth, spike_train, BoundedPareto};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hours per day.
 pub const HOURS_PER_DAY: usize = 24;
@@ -31,7 +30,7 @@ pub const DAYS_PER_WEEK: usize = 7;
 pub const DAYS_PER_MONTH: usize = 30;
 
 /// Workload class of a server (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Web-based application component (incl. its database servers).
     Web,
@@ -102,7 +101,7 @@ pub fn business_curve(hour_of_day: usize) -> f64 {
 }
 
 /// Generative model of a web-based server's CPU demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WebProfile {
     /// Baseline CPU fraction at dead of night.
     pub base_frac: f64,
@@ -171,7 +170,7 @@ impl WebProfile {
 }
 
 /// Generative model of a batch/computational server's CPU demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchProfile {
     /// CPU fraction outside job windows.
     pub idle_frac: f64,
@@ -233,7 +232,7 @@ impl BatchProfile {
 }
 
 /// Generative model of a server's committed-memory demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryProfile {
     /// Static committed memory (OS, resident services), in MB.
     pub base_mb: f64,
@@ -274,7 +273,7 @@ impl MemoryProfile {
 }
 
 /// CPU demand model of a server: one of the two workload classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CpuProfile {
     /// Web-based workload.
     Web(WebProfile),

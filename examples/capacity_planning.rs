@@ -27,15 +27,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..StudyConfig::paper_baseline(dc, 42)
         };
         let study = Study::prepare(&config);
-        let vanilla = study.run(PlannerKind::SemiStatic)?.cost.provisioned_hosts;
-        let stochastic = study.run(PlannerKind::Stochastic)?.cost.provisioned_hosts;
+        let vanilla = study
+            .run(PlannerKind::SemiStatic, None)?
+            .cost
+            .provisioned_hosts;
+        let stochastic = study
+            .run(PlannerKind::Stochastic, None)?
+            .cost
+            .provisioned_hosts;
         let mut sweep = String::new();
         let mut dyn08 = 0;
         for bound in [0.7, 0.8, 0.9, 1.0] {
             let mut cfg = config;
             cfg.planner = cfg.planner.with_utilization_bound(bound);
             let hosts = Study::from_workload(&cfg, study.workload().clone())
-                .run(PlannerKind::Dynamic)?
+                .run(PlannerKind::Dynamic, None)?
                 .cost
                 .provisioned_hosts;
             if (bound - 0.8).abs() < 1e-9 {

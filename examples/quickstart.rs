@@ -22,13 +22,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.total_days(),
     );
 
-    let baseline = study.run(PlannerKind::SemiStatic)?;
+    let baseline = study.run(PlannerKind::SemiStatic, None)?;
     println!(
         "{:<12} {:>8} {:>12} {:>12} {:>12}",
         "planner", "hosts", "space(norm)", "power(norm)", "migrations"
     );
     for kind in PlannerKind::EVALUATED {
-        let run = study.run(kind)?;
+        let run = study.run(kind, None)?;
         let (space, power) = run.cost.normalized_to(&baseline.cost);
         println!(
             "{:<12} {:>8} {:>12.3} {:>12.3} {:>12}",

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let study = Study::from_workload(&config, loaded);
     println!();
     for kind in PlannerKind::EVALUATED {
-        let run = study.run(kind)?;
+        let run = study.run(kind, None)?;
         println!(
             "{:<12} {:>4} hosts  {:>8.1} kWh  {:>6} migrations",
             kind.label(),

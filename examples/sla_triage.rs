@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..StudyConfig::paper_baseline(DataCenterId::Banking, 42)
     };
     let study = Study::prepare(&config);
-    let run = study.run(PlannerKind::Dynamic)?;
+    let run = study.run(PlannerKind::Dynamic, None)?;
     let report = sla::analyze(study.input(), &run.plan)?;
 
     println!(
@@ -48,9 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nFor comparison, the stochastic semi-static plan on the same traces \
          has {} violators.",
-        sla::analyze(study.input(), &study.run(PlannerKind::Stochastic)?.plan)?
-            .violators()
-            .len(),
+        sla::analyze(
+            study.input(),
+            &study.run(PlannerKind::Stochastic, None)?.plan
+        )?
+        .violators()
+        .len(),
     );
     Ok(())
 }

@@ -69,7 +69,7 @@ fn studies_are_deterministic_end_to_end() {
     let config = StudyConfig::quick(DataCenterId::Banking, 77);
     let run = |kind| {
         let study = Study::prepare(&config);
-        let r = study.run(kind).unwrap();
+        let r = study.run(kind, None).unwrap();
         (
             r.cost.provisioned_hosts,
             r.cost.energy_kwh,
@@ -91,7 +91,7 @@ fn emulator_conserves_demand() {
     // Σ served + Σ unmet == Σ demand, per hour, across all hosts.
     let config = StudyConfig::quick(DataCenterId::Banking, 5);
     let study = Study::prepare(&config);
-    let run = study.run(PlannerKind::Dynamic).unwrap();
+    let run = study.run(PlannerKind::Dynamic, None).unwrap();
     let input = study.input();
     let eval = input.eval_range();
     let capacity = run.plan.dc.template().capacity();
@@ -174,7 +174,7 @@ fn dedup_savings_reduce_memory_pressure_end_to_end() {
     let config = StudyConfig::quick(DataCenterId::Airlines, 31);
     let study = Study::prepare(&config);
     let plan = config.planner.plan_semi_static(study.input()).unwrap();
-    let without = emulate(study.input(), &plan, &EmulatorConfig::default()).unwrap();
+    let without = emulate(study.input(), &plan, &EmulatorConfig::default(), None).unwrap();
     let with = emulate(
         study.input(),
         &plan,
@@ -182,6 +182,7 @@ fn dedup_savings_reduce_memory_pressure_end_to_end() {
             dedup_savings_frac: 0.25,
             ..EmulatorConfig::default()
         },
+        None,
     )
     .unwrap();
     let mean_mem = |r: &vmcw_repro::emulator::engine::EmulationReport| {
@@ -223,7 +224,7 @@ fn oracle_dynamic_has_no_contention() {
     planner.dynamic.cpu_predictor = vmcw_repro::consolidation::prediction::Predictor::Oracle;
     planner.dynamic.mem_predictor = vmcw_repro::consolidation::prediction::Predictor::Oracle;
     let plan = planner.plan_dynamic(&input).unwrap();
-    let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+    let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
     assert_eq!(report.cpu_contention_samples.len(), 0);
     assert!(report
         .per_host
@@ -296,8 +297,8 @@ fn black_swan_demand_surge_contends_fixed_plans_but_dynamic_recovers() {
     let semi = planner.plan_semi_static(&input).unwrap();
     let dynamic = planner.plan_dynamic(&input).unwrap();
     let cfg = EmulatorConfig::default();
-    let semi_report = emulate(&input, &semi, &cfg).unwrap();
-    let dyn_report = emulate(&input, &dynamic, &cfg).unwrap();
+    let semi_report = emulate(&input, &semi, &cfg, None).unwrap();
+    let dyn_report = emulate(&input, &dynamic, &cfg, None).unwrap();
 
     // The surge may or may not overflow the semi-static hosts depending
     // on packing slack, but the dynamic planner must end up with less
@@ -369,7 +370,7 @@ fn heterogeneous_estate_emulates_with_per_host_capacities() {
         migrations: Vec::new(),
         dc: estate,
     };
-    let report = emulate(&input, &plan, &EmulatorConfig::default()).unwrap();
+    let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
     assert_eq!(report.hours, 72);
     // No contention: demands were sized at the history peak and the
     // packer honoured the *per-host* (heterogeneous) capacities. A bug

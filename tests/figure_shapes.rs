@@ -215,9 +215,9 @@ fn fig6_resource_ratio_orderings() {
 fn runs(dc: DataCenterId) -> (StudyRun, StudyRun, StudyRun) {
     let s = study(dc);
     (
-        s.run(PlannerKind::SemiStatic).unwrap(),
-        s.run(PlannerKind::Stochastic).unwrap(),
-        s.run(PlannerKind::Dynamic).unwrap(),
+        s.run(PlannerKind::SemiStatic, None).unwrap(),
+        s.run(PlannerKind::Stochastic, None).unwrap(),
+        s.run(PlannerKind::Dynamic, None).unwrap(),
     )
 }
 
@@ -393,12 +393,12 @@ fn fig12_running_server_distribution() {
 fn fig13_banking_sensitivity_crossings() {
     let s = study(DataCenterId::Banking);
     let vanilla = s
-        .run(PlannerKind::SemiStatic)
+        .run(PlannerKind::SemiStatic, None)
         .unwrap()
         .cost
         .provisioned_hosts;
     let stochastic = s
-        .run(PlannerKind::Stochastic)
+        .run(PlannerKind::Stochastic, None)
         .unwrap()
         .cost
         .provisioned_hosts;
@@ -406,7 +406,7 @@ fn fig13_banking_sensitivity_crossings() {
         let mut config = *s.config();
         config.planner = config.planner.with_utilization_bound(bound);
         Study::from_workload(&config, s.workload().clone())
-            .run(PlannerKind::Dynamic)
+            .run(PlannerKind::Dynamic, None)
             .unwrap()
             .cost
             .provisioned_hosts
@@ -438,7 +438,7 @@ fn fig13_banking_sensitivity_crossings() {
 fn fig14_airlines_dynamic_matches_stochastic_only_unreserved() {
     let s = study(DataCenterId::Airlines);
     let stochastic = s
-        .run(PlannerKind::Stochastic)
+        .run(PlannerKind::Stochastic, None)
         .unwrap()
         .cost
         .provisioned_hosts;
@@ -446,7 +446,7 @@ fn fig14_airlines_dynamic_matches_stochastic_only_unreserved() {
         let mut config = *s.config();
         config.planner = config.planner.with_utilization_bound(bound);
         Study::from_workload(&config, s.workload().clone())
-            .run(PlannerKind::Dynamic)
+            .run(PlannerKind::Dynamic, None)
             .unwrap()
             .cost
             .provisioned_hosts

@@ -137,12 +137,12 @@ fn observation_5_no_space_savings_over_stochastic() {
     let mut no_savings = 0;
     for dc in DataCenterId::ALL {
         let stochastic = study(dc)
-            .run(PlannerKind::Stochastic)
+            .run(PlannerKind::Stochastic, None)
             .unwrap()
             .cost
             .provisioned_hosts;
         let dynamic = study(dc)
-            .run(PlannerKind::Dynamic)
+            .run(PlannerKind::Dynamic, None)
             .unwrap()
             .cost
             .provisioned_hosts;
@@ -165,8 +165,8 @@ fn observation_5_no_space_savings_over_stochastic() {
 #[test]
 fn observation_6_power_savings_with_contention_risk() {
     let banking = study(DataCenterId::Banking);
-    let stochastic = banking.run(PlannerKind::Stochastic).unwrap();
-    let dynamic = banking.run(PlannerKind::Dynamic).unwrap();
+    let stochastic = banking.run(PlannerKind::Stochastic, None).unwrap();
+    let dynamic = banking.run(PlannerKind::Dynamic, None).unwrap();
     assert!(
         dynamic.cost.energy_kwh < stochastic.cost.energy_kwh * 0.75,
         "bursty Banking: dynamic {} kWh vs stochastic {} kWh",
@@ -187,14 +187,14 @@ fn observation_7_unreserved_dynamic_saves_space() {
     for dc in [DataCenterId::Banking, DataCenterId::NaturalResources] {
         let s = study(dc);
         let stochastic = s
-            .run(PlannerKind::Stochastic)
+            .run(PlannerKind::Stochastic, None)
             .unwrap()
             .cost
             .provisioned_hosts;
         let mut config = *s.config();
         config.planner = config.planner.with_utilization_bound(1.0);
         let unreserved = Study::from_workload(&config, s.workload().clone())
-            .run(PlannerKind::Dynamic)
+            .run(PlannerKind::Dynamic, None)
             .unwrap()
             .cost
             .provisioned_hosts;

@@ -401,7 +401,7 @@ use std::sync::OnceLock;
 use vmcw_repro::consolidation::drain::plan_drain;
 use vmcw_repro::consolidation::input::{PlanningInput, VirtualizationModel};
 use vmcw_repro::consolidation::planner::{ConsolidationPlan, Planner};
-use vmcw_repro::emulator::engine::{emulate_with_faults, EmulatorConfig};
+use vmcw_repro::emulator::engine::{emulate, EmulatorConfig};
 use vmcw_repro::emulator::faults::{CrashSchedule, FaultConfig};
 use vmcw_repro::migration::retry::RetryPolicy;
 use vmcw_repro::trace::datacenters::{DataCenterId, GeneratorConfig};
@@ -601,8 +601,8 @@ proptest! {
             ..FaultConfig::baseline(seed)
         };
         let cfg = EmulatorConfig::default();
-        let a = emulate_with_faults(input, plan, &cfg, &faults).expect("replay");
-        let b = emulate_with_faults(input, plan, &cfg, &faults).expect("replay");
+        let a = emulate(input, plan, &cfg, Some(&faults)).expect("replay");
+        let b = emulate(input, plan, &cfg, Some(&faults)).expect("replay");
         prop_assert_eq!(a, b, "fault replay must be deterministic in the seed");
     }
 }

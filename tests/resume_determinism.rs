@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use vmcw_repro::consolidation::planner::PlannerKind;
 use vmcw_repro::core::journal::Journal;
 use vmcw_repro::core::supervise::{
-    resume_study, run_study, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy,
-    ChaosConfig, ChaosMode, RunOptions, StudySpec, StudyStatus, JOURNAL_FILE,
+    resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy, ChaosConfig,
+    ChaosMode, RunOptions, StudySpec, StudyStatus, JOURNAL_FILE,
 };
 use vmcw_repro::emulator::checkpoint::encode_report;
 use vmcw_repro::emulator::FaultConfig;
@@ -43,7 +43,13 @@ fn golden_spec() -> StudySpec {
 #[test]
 fn resume_after_kill_is_byte_identical_for_every_cell() {
     let clean_dir = tmp_dir("clean");
-    let clean = run_study(&golden_spec(), &clean_dir, &CancelToken::new()).unwrap();
+    let clean = run_study_opts(
+        &golden_spec(),
+        &clean_dir,
+        &CancelToken::new(),
+        &RunOptions::default(),
+    )
+    .unwrap();
     assert_eq!(clean.status, StudyStatus::Completed);
     assert_eq!(clean.cells.len(), 12, "4 data centers x 3 planners");
     assert!(
@@ -60,7 +66,7 @@ fn resume_after_kill_is_byte_identical_for_every_cell() {
         let dir = tmp_dir(&format!("kill{kill_hour}"));
         let token = CancelToken::new();
         token.cancel_after_hours(kill_hour);
-        let partial = run_study(&golden_spec(), &dir, &token).unwrap();
+        let partial = run_study_opts(&golden_spec(), &dir, &token, &RunOptions::default()).unwrap();
         assert_eq!(
             partial.status,
             StudyStatus::Interrupted,
@@ -68,7 +74,8 @@ fn resume_after_kill_is_byte_identical_for_every_cell() {
         );
         assert!(dir.join(JOURNAL_FILE).exists());
 
-        let resumed = resume_study(&dir, None, &CancelToken::new()).unwrap();
+        let resumed =
+            resume_study_opts(&dir, None, &CancelToken::new(), &RunOptions::default()).unwrap();
         assert_eq!(resumed.status, StudyStatus::Completed);
         assert_eq!(resumed.cells.len(), clean.cells.len());
         for (a, b) in clean.cells.iter().zip(&resumed.cells) {
