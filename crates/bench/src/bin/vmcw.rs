@@ -424,7 +424,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             args.positional[0]
         )));
     }
-    let mut scales = vec![0.1, 1.0];
+    let mut scales = vec![0.1, 1.0, 4.0];
     if let Some(raw) = args.flags.get("scale") {
         scales = raw
             .split(',')

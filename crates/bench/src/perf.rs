@@ -36,7 +36,7 @@ pub struct BenchEntry {
     pub scale: f64,
     /// Wall-clock duration of the stage, seconds.
     pub seconds: f64,
-    /// Work items processed (VMs generated, hours replayed, moves
+    /// Work items processed (VMs generated, VM-hours replayed, moves
     /// planned) — turns the timing into a throughput.
     pub items: usize,
 }
@@ -136,7 +136,7 @@ pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
             stage: "replay-plain".into(),
             scale,
             seconds: replay_secs,
-            items: report.hours,
+            items: input.vms.len() * report.hours,
         });
 
         let faults = FaultConfig::baseline(seed);
@@ -146,7 +146,7 @@ pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
             stage: "replay-faulted".into(),
             scale,
             seconds: faulted_secs,
-            items: report.hours,
+            items: input.vms.len() * report.hours,
         });
     }
     BenchSuite {

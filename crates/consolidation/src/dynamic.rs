@@ -30,11 +30,11 @@ use crate::input::PlanningInput;
 use crate::placement::{PackError, Placement};
 use crate::prediction::Predictor;
 use crate::sizing::SizingFunction;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use vmcw_cluster::datacenter::{DataCenter, HostId};
 use vmcw_cluster::resources::Resources;
 use vmcw_cluster::vm::VmId;
-use vmcw_migration::cost::MigrationCostModel;
+use vmcw_migration::cost::{MigrationCostModel, MigrationCostReport};
 use vmcw_migration::precopy::{HostLoad, PrecopyConfig, VmMigrationProfile};
 use vmcw_migration::reliability::ReservationPolicy;
 use vmcw_trace::workload::HOURS_PER_DAY;
@@ -341,103 +341,56 @@ pub fn plan_dynamic(
 
     let idle_w = dc.template().power.idle_w();
     let interval_saving_wh = idle_w * w as f64;
+    // Per-host migration-link busy time committed in one interval stays
+    // under `migration_time_budget_frac` of the window so the migration
+    // schedule stays feasible (§7).
+    let budget_secs = w as f64 * 3600.0 * config.migration_time_budget_frac;
 
     for win in 1..n_windows {
-        let demand_of = |gi: usize| groups[gi].predicted[win];
-        // Current load per host.
-        let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
-        for (gi, &h) in assignment.iter().enumerate() {
-            *loads.entry(h).or_insert(Resources::ZERO) += demand_of(gi);
-        }
-        // Loads under the *previous* window's demand: consolidation
-        // actions run at the interval boundary, so a migration executes
-        // while its source still carries the old load — this is what the
-        // pre-copy simulation must see.
-        let mut exec_loads: BTreeMap<HostId, Resources> = BTreeMap::new();
-        for (gi, &h) in assignment.iter().enumerate() {
-            *exec_loads.entry(h).or_insert(Resources::ZERO) += groups[gi].predicted[win - 1];
-        }
-        let mut residents: BTreeMap<HostId, Vec<usize>> = BTreeMap::new();
-        for (gi, &h) in assignment.iter().enumerate() {
-            residents.entry(h).or_default().push(gi);
-        }
-        let mut net_loads: BTreeMap<HostId, f64> = BTreeMap::new();
-        for (gi, &h) in assignment.iter().enumerate() {
-            *net_loads.entry(h).or_insert(0.0) += groups[gi].net_mbps;
-        }
-
-        // Per-host migration-link busy time committed this interval; the
-        // planner keeps every link under `migration_time_budget_frac` of
-        // the window so the migration schedule stays feasible (§7).
-        let mut link_busy: BTreeMap<HostId, f64> = BTreeMap::new();
-        let budget_secs = w as f64 * 3600.0 * config.migration_time_budget_frac;
+        let ctx = Window {
+            win,
+            groups: &groups,
+            input,
+            config,
+            capacity,
+            effective_net,
+            budget_secs,
+        };
+        let mut state = HostState::new(&ctx, &assignment, dc.len(), effective);
 
         // --- Phase 1: repair predicted overloads -----------------------
-        let overloaded: Vec<HostId> = loads
-            .iter()
-            .filter(|(_, &l)| !l.fits_within(&effective))
-            .map(|(&h, _)| h)
+        let overloaded: Vec<HostId> = (0..state.loads.len())
+            .map(|i| HostId(i as u32))
+            .filter(|&h| !state.load(h).fits_within(&effective))
             .collect();
         for host in overloaded {
-            loop {
-                let load = loads.get(&host).copied().unwrap_or(Resources::ZERO);
-                if load.fits_within(&effective) {
-                    break;
-                }
+            while !state.load(host).fits_within(&effective) {
                 // Cheapest movable group on this host.
-                let Some(&gi) = residents.get(&host).and_then(|list| {
-                    list.iter()
-                        .filter(|&&gi| !groups[gi].pinned)
-                        .min_by(|&&a, &&b| {
-                            groups[a]
-                                .mem_mb
-                                .total_cmp(&groups[b].mem_mb)
-                                .then_with(|| a.cmp(&b))
-                        })
-                }) else {
+                let Some(gi) = state
+                    .residents(host)
+                    .iter()
+                    .copied()
+                    .filter(|&gi| !groups[gi].pinned)
+                    .min_by(|&a, &b| {
+                        groups[a]
+                            .mem_mb
+                            .total_cmp(&groups[b].mem_mb)
+                            .then_with(|| a.cmp(&b))
+                    })
+                else {
                     break; // only pinned groups left: contention stands
                 };
-                let dest = find_destination(
-                    gi,
-                    host,
-                    &groups,
-                    &loads,
-                    &residents,
-                    dc,
-                    input,
-                    &effective,
-                    demand_of(gi),
-                    &link_busy,
-                    budget_secs,
-                    &net_loads,
-                    effective_net,
-                )?;
-                record_move(
-                    win,
-                    gi,
-                    host,
-                    dest,
-                    &mut assignment,
-                    &mut loads,
-                    &mut residents,
-                    &groups,
-                    demand_of(gi),
-                    capacity,
-                    config,
-                    &mut migrations,
-                    &mut link_busy,
-                    &exec_loads,
-                    &mut net_loads,
-                );
+                let dest = find_destination(&ctx, &mut state, dc, gi, host)?;
+                state.record_move(&ctx, gi, host, dest, &mut assignment, &mut migrations);
             }
         }
 
         // --- Phase 2: least-cost consolidation -------------------------
         // Ascending load: cheap-to-evacuate hosts first.
-        let mut by_load: Vec<(HostId, Resources)> = loads
+        let mut by_load: Vec<(HostId, Resources)> = state
+            .by_share
             .iter()
-            .filter(|(_, &l)| l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0)
-            .map(|(&h, &l)| (h, l))
+            .map(|&(_, h)| (h, state.load(h)))
             .collect();
         by_load.sort_by(|a, b| {
             a.1.dominant_share(&effective)
@@ -450,97 +403,32 @@ pub fn plan_dynamic(
                 // is too full to be worth evacuating.
                 break;
             }
-            let Some(members) = residents.get(&host).cloned() else {
-                continue;
-            };
+            let mut members = state.residents(host).to_vec();
             if members.is_empty() || members.iter().any(|&gi| groups[gi].pinned) {
                 continue;
             }
-            // Tentative: can every group move to another *active* host?
-            let mut tentative_loads = loads.clone();
-            tentative_loads.remove(&host);
-            let mut tentative_net = net_loads.clone();
-            tentative_net.remove(&host);
-            let mut moves: Vec<(usize, HostId)> = Vec::new();
-            let mut ok = true;
-            let mut members_sorted = members.clone();
-            members_sorted.sort_by(|&a, &b| {
-                demand_of(b)
+            members.sort_by(|&a, &b| {
+                ctx.demand(b)
                     .dominant_share(&effective)
-                    .total_cmp(&demand_of(a).dominant_share(&effective))
+                    .total_cmp(&ctx.demand(a).dominant_share(&effective))
                     .then_with(|| a.cmp(&b))
             });
-            for &gi in &members_sorted {
-                let mut placed = false;
-                // Most-loaded first keeps the footprint minimal.
-                let mut candidates: Vec<(HostId, Resources)> = tentative_loads
-                    .iter()
-                    .filter(|(&h, &l)| h != host && (l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0))
-                    .map(|(&h, &l)| (h, l))
-                    .collect();
-                candidates.sort_by(|a, b| {
-                    b.1.dominant_share(&effective)
-                        .total_cmp(&a.1.dominant_share(&effective))
-                        .then_with(|| a.0.cmp(&b.0))
-                });
-                for (cand, cand_load) in candidates {
-                    if !(cand_load + demand_of(gi)).fits_within(&effective) {
-                        continue;
-                    }
-                    if link_busy.get(&cand).copied().unwrap_or(0.0) > budget_secs {
-                        continue; // this destination's link is saturated
-                    }
-                    if effective_net > 0.0
-                        && tentative_net.get(&cand).copied().unwrap_or(0.0) + groups[gi].net_mbps
-                            > effective_net
-                    {
-                        continue; // §3.1 link-bandwidth admission
-                    }
-                    let location = dc.host(cand).expect("provisioned").location();
-                    let dest_residents = residents.get(&cand).map_or_else(Vec::new, |l| {
-                        l.iter()
-                            .flat_map(|&g| groups[g].vms.iter().copied())
-                            .collect()
-                    });
-                    if !input
-                        .constraints
-                        .allows_group(&groups[gi].vms, location, &dest_residents)
-                    {
-                        continue;
-                    }
-                    *tentative_loads.entry(cand).or_insert(Resources::ZERO) += demand_of(gi);
-                    *tentative_net.entry(cand).or_insert(0.0) += groups[gi].net_mbps;
-                    moves.push((gi, cand));
-                    placed = true;
-                    break;
-                }
-                if !placed {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
+            // Tentative: can every group move to another *active* host?
+            let Some(moves) = state.plan_evacuation(&ctx, dc, host, &members) else {
                 continue;
-            }
+            };
             // Least-cost comparison: migration cost vs. interval power
             // saving from switching this host off.
-            let src_load = exec_loads.get(&host).copied().unwrap_or(Resources::ZERO);
-            let src = HostLoad::new(
-                src_load.cpu_rpe2 / capacity.cpu_rpe2,
-                src_load.mem_mb / capacity.mem_mb,
-            );
             let mut total_cost = 0.0;
             let mut projected: BTreeMap<HostId, f64> = BTreeMap::new();
             let mut within_budget = true;
             for &(gi, dest) in &moves {
-                let g = &groups[gi];
-                let profile = migration_profile(g, demand_of(gi));
-                let report = config.cost_model.estimate(&config.precopy, &profile, src);
+                let report = ctx.migration(gi, state.exec_load(host));
                 total_cost += report.cost_wh;
                 for endpoint in [host, dest] {
                     let busy = projected
                         .entry(endpoint)
-                        .or_insert_with(|| link_busy.get(&endpoint).copied().unwrap_or(0.0));
+                        .or_insert_with(|| state.link_busy[endpoint.0 as usize]);
                     *busy += report.outcome.total_secs;
                     if *busy > budget_secs {
                         within_budget = false;
@@ -551,25 +439,8 @@ pub fn plan_dynamic(
                 continue;
             }
             for (gi, dest) in moves {
-                record_move(
-                    win,
-                    gi,
-                    host,
-                    dest,
-                    &mut assignment,
-                    &mut loads,
-                    &mut residents,
-                    &groups,
-                    demand_of(gi),
-                    capacity,
-                    config,
-                    &mut migrations,
-                    &mut link_busy,
-                    &exec_loads,
-                    &mut net_loads,
-                );
+                state.record_move(&ctx, gi, host, dest, &mut assignment, &mut migrations);
             }
-            let _ = projected;
         }
 
         placements.push(placement_of(&groups, &assignment));
@@ -594,64 +465,344 @@ fn migration_profile(group: &Group, demand: Resources) -> VmMigrationProfile {
     VmMigrationProfile::from_demand(demand.mem_mb.max(64.0), activity)
 }
 
+/// What stays fixed while one consolidation window is planned.
+struct Window<'a> {
+    win: usize,
+    groups: &'a [Group],
+    input: &'a PlanningInput,
+    config: &'a DynamicConfig,
+    /// Raw host capacity (migration source loads are relative to it).
+    capacity: Resources,
+    /// Host link bandwidth workloads may use, Mbit/s.
+    effective_net: f64,
+    /// Per-host migration-link budget for the window, seconds.
+    budget_secs: f64,
+}
+
+impl Window<'_> {
+    /// Predicted demand of group `gi` in this window.
+    fn demand(&self, gi: usize) -> Resources {
+        self.groups[gi].predicted[self.win]
+    }
+
+    /// Simulates migrating group `gi` off a source carrying `src_load`.
+    fn migration(&self, gi: usize, src_load: Resources) -> MigrationCostReport {
+        let src = HostLoad::new(
+            src_load.cpu_rpe2 / self.capacity.cpu_rpe2,
+            src_load.mem_mb / self.capacity.mem_mb,
+        );
+        let profile = migration_profile(&self.groups[gi], self.demand(gi));
+        self.config
+            .cost_model
+            .estimate(&self.config.precopy, &profile, src)
+    }
+}
+
+/// Whether a host counts as active (powered on) under `load`.
+fn is_active(load: Resources) -> bool {
+    load.cpu_rpe2 > 0.0 || load.mem_mb > 0.0
+}
+
+/// Index key of a dominant share: the share's [`f64::total_cmp`] order
+/// as an unsigned integer, inverted so that larger shares sort first.
+fn share_key(share: f64) -> u64 {
+    let bits = share.to_bits();
+    let ascending = if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    };
+    !ascending
+}
+
+/// Slack on the share bound of [`fit_start`]. The bound's rounding
+/// error is a few ulps of 1; this is seven orders of magnitude more.
+const SHARE_SLACK: f64 = 1e-9;
+
+/// The smallest index key of a host that may still take `demand`.
+///
+/// A host fits only if `load_i + demand_i <= effective_i` in every
+/// dimension `i`, so its dominant share is at most
+/// `1 - min_i(demand_i / effective_i)`. Hosts above that bound (plus
+/// [`SHARE_SLACK`]) cannot fit and are never tested. Demands are
+/// non-negative; `fits_within` still decides every host that is tested.
+fn fit_start(demand: Resources, effective: &Resources) -> u64 {
+    if effective.cpu_rpe2 <= 0.0 || effective.mem_mb <= 0.0 {
+        return 0; // `dominant_share` is 0 for every host: no bound
+    }
+    let min_share = (demand.cpu_rpe2 / effective.cpu_rpe2).min(demand.mem_mb / effective.mem_mb);
+    share_key(1.0 - min_share + SHARE_SLACK)
+}
+
+/// A host's load and network load under tentative moves.
+#[derive(Debug, Clone, Copy)]
+struct Tentative {
+    host: HostId,
+    load: Resources,
+    net: f64,
+}
+
+/// The planner's per-window host state, dense by [`HostId`].
+struct HostState {
+    /// Bounded host capacity the shares are taken against.
+    effective: Resources,
+    /// Load under this window's predicted demand.
+    loads: Vec<Resources>,
+    /// Load under the *previous* window's demand: consolidation actions
+    /// run at the interval boundary, so a migration executes while its
+    /// source still carries the old load. This is what the pre-copy
+    /// simulation must see.
+    exec_loads: Vec<Resources>,
+    /// Groups resident on each host.
+    residents: Vec<Vec<usize>>,
+    /// Summed peak network demand per host, Mbit/s.
+    net_loads: Vec<f64>,
+    /// Migration-link busy time committed this interval, seconds.
+    link_busy: Vec<f64>,
+    /// The active hosts as `(share_key, id)`: most loaded first, ties by
+    /// ascending id.
+    by_share: BTreeSet<(u64, HostId)>,
+}
+
+impl HostState {
+    /// The state at the start of `ctx`'s window for `n_hosts` hosts.
+    fn new(ctx: &Window, assignment: &[HostId], n_hosts: usize, effective: Resources) -> Self {
+        let mut state = Self {
+            effective,
+            loads: Vec::new(),
+            exec_loads: Vec::new(),
+            residents: Vec::new(),
+            net_loads: Vec::new(),
+            link_busy: Vec::new(),
+            by_share: BTreeSet::new(),
+        };
+        state.grow(n_hosts);
+        for (gi, &h) in assignment.iter().enumerate() {
+            let i = h.0 as usize;
+            let group = &ctx.groups[gi];
+            state.loads[i] += group.predicted[ctx.win];
+            state.exec_loads[i] += group.predicted[ctx.win - 1];
+            state.residents[i].push(gi);
+            state.net_loads[i] += group.net_mbps;
+        }
+        state.by_share = (0..n_hosts)
+            .filter(|&i| is_active(state.loads[i]))
+            .map(|i| (state.key(state.loads[i]), HostId(i as u32)))
+            .collect();
+        state
+    }
+
+    /// Extends the state to `n_hosts` hosts; new hosts are empty.
+    fn grow(&mut self, n_hosts: usize) {
+        self.loads.resize(n_hosts, Resources::ZERO);
+        self.exec_loads.resize(n_hosts, Resources::ZERO);
+        self.residents.resize_with(n_hosts, Vec::new);
+        self.net_loads.resize(n_hosts, 0.0);
+        self.link_busy.resize(n_hosts, 0.0);
+    }
+
+    fn key(&self, load: Resources) -> u64 {
+        share_key(load.dominant_share(&self.effective))
+    }
+
+    fn load(&self, host: HostId) -> Resources {
+        self.loads[host.0 as usize]
+    }
+
+    fn exec_load(&self, host: HostId) -> Resources {
+        self.exec_loads[host.0 as usize]
+    }
+
+    fn residents(&self, host: HostId) -> &[usize] {
+        &self.residents[host.0 as usize]
+    }
+
+    /// Sets a host's load, keeping the share index current.
+    fn set_load(&mut self, host: HostId, load: Resources) {
+        let old = self.load(host);
+        if is_active(old) {
+            self.by_share.remove(&(self.key(old), host));
+        }
+        self.loads[host.0 as usize] = load;
+        if is_active(load) {
+            self.by_share.insert((self.key(load), host));
+        }
+    }
+
+    /// Active hosts other than `skip`, most loaded first (ties by
+    /// ascending id), from the first whose key is `>= start`. Hosts in
+    /// `overlay` take their tentative load and order by it. Yields
+    /// `(host, load, net load)`.
+    fn candidates<'s>(
+        &'s self,
+        start: u64,
+        skip: HostId,
+        overlay: &'s [Tentative],
+    ) -> impl Iterator<Item = (HostId, Resources, f64)> + 's {
+        let mut moved: Vec<(u64, HostId)> = overlay
+            .iter()
+            .filter(|t| is_active(t.load))
+            .map(|t| (self.key(t.load), t.host))
+            .filter(|&(k, _)| k >= start)
+            .collect();
+        moved.sort_unstable();
+        let mut moved = moved.into_iter().peekable();
+        let mut committed = self
+            .by_share
+            .range((start, HostId(0))..)
+            .copied()
+            .filter(move |&(_, h)| h != skip && overlay.iter().all(|t| t.host != h))
+            .peekable();
+        std::iter::from_fn(move || {
+            let next = match (committed.peek(), moved.peek()) {
+                (Some(c), Some(m)) if m < c => moved.next(),
+                (Some(_), _) => committed.next(),
+                (None, _) => moved.next(),
+            };
+            next.map(|(_, h)| h)
+        })
+        .map(move |h| match overlay.iter().find(|t| t.host == h) {
+            Some(t) => (h, t.load, t.net),
+            None => (h, self.load(h), self.net_loads[h.0 as usize]),
+        })
+    }
+
+    /// Whether the deployment constraints let group `gi` join `host`.
+    fn allowed(&self, ctx: &Window, dc: &DataCenter, host: HostId, gi: usize) -> bool {
+        let location = dc.host(host).expect("provisioned").location();
+        let dest_residents: Vec<VmId> = self
+            .residents(host)
+            .iter()
+            .flat_map(|&g| ctx.groups[g].vms.iter().copied())
+            .collect();
+        ctx.input
+            .constraints
+            .allows_group(&ctx.groups[gi].vms, location, &dest_residents)
+    }
+
+    /// Tentatively re-homes `members` (in order) off `host` onto other
+    /// active hosts, each to the most-loaded host that takes it, which
+    /// keeps the footprint minimal. Returns
+    /// the moves, or `None` if some group fits nowhere. Nothing is
+    /// committed: tentative loads live in an overlay on the hosts the
+    /// moves touch.
+    fn plan_evacuation(
+        &self,
+        ctx: &Window,
+        dc: &DataCenter,
+        host: HostId,
+        members: &[usize],
+    ) -> Option<Vec<(usize, HostId)>> {
+        let mut overlay: Vec<Tentative> = Vec::new();
+        let mut moves = Vec::with_capacity(members.len());
+        for &gi in members {
+            let demand = ctx.demand(gi);
+            let net = ctx.groups[gi].net_mbps;
+            let mut dest = None;
+            for (cand, cand_load, cand_net) in
+                self.candidates(fit_start(demand, &self.effective), host, &overlay)
+            {
+                if !(cand_load + demand).fits_within(&self.effective) {
+                    continue;
+                }
+                if self.link_busy[cand.0 as usize] > ctx.budget_secs {
+                    continue; // this destination's link is saturated
+                }
+                if ctx.effective_net > 0.0 && cand_net + net > ctx.effective_net {
+                    continue; // §3.1 link-bandwidth admission
+                }
+                if !self.allowed(ctx, dc, cand, gi) {
+                    continue;
+                }
+                dest = Some((cand, cand_load, cand_net));
+                break;
+            }
+            let (cand, cand_load, cand_net) = dest?;
+            match overlay.iter_mut().find(|t| t.host == cand) {
+                Some(t) => {
+                    t.load += demand;
+                    t.net += net;
+                }
+                None => overlay.push(Tentative {
+                    host: cand,
+                    load: cand_load + demand,
+                    net: cand_net + net,
+                }),
+            }
+            moves.push((gi, cand));
+        }
+        Some(moves)
+    }
+
+    /// Applies a group move and records the migration events.
+    fn record_move(
+        &mut self,
+        ctx: &Window,
+        gi: usize,
+        from: HostId,
+        to: HostId,
+        assignment: &mut [HostId],
+        migrations: &mut Vec<MigrationEvent>,
+    ) {
+        let group = &ctx.groups[gi];
+        let demand = ctx.demand(gi);
+        let report = ctx.migration(gi, self.exec_load(from));
+
+        assignment[gi] = to;
+        let left = self.load(from).saturating_sub(&demand);
+        let left = if left.cpu_rpe2 == 0.0 && left.mem_mb == 0.0 {
+            Resources::ZERO
+        } else {
+            left
+        };
+        self.set_load(from, left);
+        self.set_load(to, self.load(to) + demand);
+        let (f, t) = (from.0 as usize, to.0 as usize);
+        self.residents[f].retain(|&g| g != gi);
+        self.residents[t].push(gi);
+
+        self.link_busy[f] += report.outcome.total_secs;
+        self.link_busy[t] += report.outcome.total_secs;
+        self.net_loads[f] = (self.net_loads[f] - group.net_mbps).max(0.0);
+        self.net_loads[t] += group.net_mbps;
+
+        let per_vm_mem = demand.mem_mb / group.vms.len() as f64;
+        for &vm in &group.vms {
+            migrations.push(MigrationEvent {
+                interval: ctx.win,
+                vm,
+                from,
+                to,
+                mem_mb: per_vm_mem,
+                duration_secs: report.outcome.total_secs,
+                converged: report.outcome.converged,
+                cost_wh: report.cost_wh / group.vms.len() as f64,
+            });
+        }
+    }
+}
+
 /// Finds a destination for an evicted group: most-loaded active host that
 /// fits, else an empty provisioned host, else a newly provisioned one.
-#[allow(clippy::too_many_arguments)]
 fn find_destination(
+    ctx: &Window,
+    state: &mut HostState,
+    dc: &mut DataCenter,
     gi: usize,
     from: HostId,
-    groups: &[Group],
-    loads: &BTreeMap<HostId, Resources>,
-    residents: &BTreeMap<HostId, Vec<usize>>,
-    dc: &mut DataCenter,
-    input: &PlanningInput,
-    effective: &Resources,
-    demand: Resources,
-    link_busy: &BTreeMap<HostId, f64>,
-    budget_secs: f64,
-    net_loads: &BTreeMap<HostId, f64>,
-    effective_net: f64,
 ) -> Result<HostId, PackError> {
-    fn allowed(
-        host: HostId,
-        dc: &DataCenter,
-        residents: &BTreeMap<HostId, Vec<usize>>,
-        groups: &[Group],
-        gi: usize,
-        input: &PlanningInput,
-    ) -> bool {
-        let location = dc.host(host).expect("provisioned").location();
-        let dest_residents: Vec<VmId> = residents.get(&host).map_or_else(Vec::new, |l| {
-            l.iter()
-                .flat_map(|&g| groups[g].vms.iter().copied())
-                .collect()
-        });
-        input
-            .constraints
-            .allows_group(&groups[gi].vms, location, &dest_residents)
-    }
+    let demand = ctx.demand(gi);
+    let effective = state.effective;
+    let net = ctx.groups[gi].net_mbps;
     // Active hosts, most-loaded first.
-    let mut candidates: Vec<(HostId, Resources)> = loads
-        .iter()
-        .filter(|(&h, &l)| h != from && (l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0))
-        .map(|(&h, &l)| (h, l))
-        .collect();
-    candidates.sort_by(|a, b| {
-        b.1.dominant_share(effective)
-            .total_cmp(&a.1.dominant_share(effective))
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    for (host, load) in candidates {
-        if link_busy.get(&host).copied().unwrap_or(0.0) > budget_secs {
+    for (host, load, host_net) in state.candidates(fit_start(demand, &effective), from, &[]) {
+        if state.link_busy[host.0 as usize] > ctx.budget_secs {
             continue; // saturated migration link: spread arrivals
         }
-        if effective_net > 0.0
-            && net_loads.get(&host).copied().unwrap_or(0.0) + groups[gi].net_mbps > effective_net
-        {
+        if ctx.effective_net > 0.0 && host_net + net > ctx.effective_net {
             continue; // §3.1 link-bandwidth admission
         }
-        if (load + demand).fits_within(effective) && allowed(host, dc, residents, groups, gi, input)
-        {
+        if (load + demand).fits_within(&effective) && state.allowed(ctx, dc, host, gi) {
             return Ok(host);
         }
     }
@@ -661,102 +812,37 @@ fn find_destination(
         if host == from {
             continue;
         }
-        let load = loads.get(&host).copied().unwrap_or(Resources::ZERO);
+        let load = state.load(host);
         if load.cpu_rpe2 == 0.0
             && load.mem_mb == 0.0
-            && demand.fits_within(effective)
-            && allowed(host, dc, residents, groups, gi, input)
+            && demand.fits_within(&effective)
+            && state.allowed(ctx, dc, host, gi)
         {
             return Ok(host);
         }
     }
     // Provision a new host.
-    if !demand.fits_within(effective) {
+    if !demand.fits_within(&effective) {
         return Err(PackError::ItemTooLarge {
-            vm: groups[gi].vms[0],
+            vm: ctx.groups[gi].vms[0],
             demand,
-            capacity: *effective,
+            capacity: effective,
         });
     }
     let mut attempts = 0;
     loop {
         let host = dc.provision();
-        if allowed(host, dc, residents, groups, gi, input) {
+        state.grow(dc.len());
+        if state.allowed(ctx, dc, host, gi) {
             return Ok(host);
         }
         attempts += 1;
         if attempts > 64 {
             return Err(PackError::PinnedHostInfeasible {
-                vm: groups[gi].vms[0],
+                vm: ctx.groups[gi].vms[0],
                 host,
             });
         }
-    }
-}
-
-/// Applies a group move and records the migration events.
-#[allow(clippy::too_many_arguments)]
-fn record_move(
-    win: usize,
-    gi: usize,
-    from: HostId,
-    to: HostId,
-    assignment: &mut [HostId],
-    loads: &mut BTreeMap<HostId, Resources>,
-    residents: &mut BTreeMap<HostId, Vec<usize>>,
-    groups: &[Group],
-    demand: Resources,
-    capacity: Resources,
-    config: &DynamicConfig,
-    migrations: &mut Vec<MigrationEvent>,
-    link_busy: &mut BTreeMap<HostId, f64>,
-    exec_loads: &BTreeMap<HostId, Resources>,
-    net_loads: &mut BTreeMap<HostId, f64>,
-) {
-    let src_load = exec_loads.get(&from).copied().unwrap_or(Resources::ZERO);
-    let src = HostLoad::new(
-        src_load.cpu_rpe2 / capacity.cpu_rpe2,
-        src_load.mem_mb / capacity.mem_mb,
-    );
-    let group = &groups[gi];
-    let profile = migration_profile(group, demand);
-    let report = config.cost_model.estimate(&config.precopy, &profile, src);
-
-    assignment[gi] = to;
-    if let Some(l) = loads.get_mut(&from) {
-        *l = l.saturating_sub(&demand);
-        if l.cpu_rpe2 == 0.0 && l.mem_mb == 0.0 {
-            loads.remove(&from);
-        }
-    }
-    *loads.entry(to).or_insert(Resources::ZERO) += demand;
-    if let Some(list) = residents.get_mut(&from) {
-        list.retain(|&g| g != gi);
-        if list.is_empty() {
-            residents.remove(&from);
-        }
-    }
-    residents.entry(to).or_default().push(gi);
-
-    *link_busy.entry(from).or_insert(0.0) += report.outcome.total_secs;
-    *link_busy.entry(to).or_insert(0.0) += report.outcome.total_secs;
-    if let Some(n) = net_loads.get_mut(&from) {
-        *n = (*n - group.net_mbps).max(0.0);
-    }
-    *net_loads.entry(to).or_insert(0.0) += group.net_mbps;
-
-    let per_vm_mem = demand.mem_mb / group.vms.len() as f64;
-    for &vm in &group.vms {
-        migrations.push(MigrationEvent {
-            interval: win,
-            vm,
-            from,
-            to,
-            mem_mb: per_vm_mem,
-            duration_secs: report.outcome.total_secs,
-            converged: report.outcome.converged,
-            cost_wh: report.cost_wh / group.vms.len() as f64,
-        });
     }
 }
 
@@ -998,6 +1084,303 @@ mod tests {
             mean(&out_eager),
             mean(&out_shy)
         );
+    }
+
+    #[test]
+    fn share_key_orders_like_descending_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.25,
+            0.5,
+            0.5 + f64::EPSILON,
+            1.0,
+            7.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    share_key(a).cmp(&share_key(b)),
+                    b.total_cmp(&a),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use vmcw_cluster::constraints::{Constraint, ConstraintSet};
+
+    /// The effective capacity the differential tests pack against.
+    const EFFECTIVE: Resources = Resources {
+        cpu_rpe2: 80.0,
+        mem_mb: 800.0,
+    };
+
+    /// A load drawn so that ties in dominant share, zero loads, one-sided
+    /// zero loads, exact fills and overloads all come up often.
+    fn random_load(rng: &mut StdRng) -> Resources {
+        let frac = |rng: &mut StdRng| match rng.random_range(0u8..4) {
+            0 => 0.0,
+            1 => f64::from(rng.random_range(1u8..6)) * 0.25,
+            _ => rng.random_range(0.0..1.2),
+        };
+        Resources::new(frac(rng) * EFFECTIVE.cpu_rpe2, frac(rng) * EFFECTIVE.mem_mb)
+    }
+
+    /// The candidate order before the share index existed: collect every
+    /// active host but `from`, then sort most loaded first.
+    fn sorted_candidates(
+        loads: &BTreeMap<HostId, Resources>,
+        from: HostId,
+        effective: &Resources,
+    ) -> Vec<(HostId, Resources)> {
+        let mut candidates: Vec<(HostId, Resources)> = loads
+            .iter()
+            .filter(|(&h, &l)| h != from && (l.cpu_rpe2 > 0.0 || l.mem_mb > 0.0))
+            .map(|(&h, &l)| (h, l))
+            .collect();
+        candidates.sort_by(|a, b| {
+            b.1.dominant_share(effective)
+                .total_cmp(&a.1.dominant_share(effective))
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        candidates
+    }
+
+    fn empty_state(n_hosts: usize) -> HostState {
+        let mut state = HostState {
+            effective: EFFECTIVE,
+            loads: Vec::new(),
+            exec_loads: Vec::new(),
+            residents: Vec::new(),
+            net_loads: Vec::new(),
+            link_busy: Vec::new(),
+            by_share: BTreeSet::new(),
+        };
+        state.grow(n_hosts);
+        state
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The share index walks hosts in exactly the order the old
+        /// collect-and-sort produced, as hosts leave and re-enter the
+        /// active set; the share-bound start only skips hosts that fail
+        /// `fits_within`.
+        #[test]
+        fn host_index_matches_collect_and_sort(
+            n_hosts in 1usize..40,
+            steps in 1usize..60,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut state = empty_state(n_hosts);
+            let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
+            for _ in 0..steps {
+                let host = HostId(rng.random_range(0..n_hosts as u32));
+                let load = random_load(&mut rng);
+                state.set_load(host, load);
+                loads.insert(host, load);
+
+                let from = HostId(rng.random_range(0..n_hosts as u32 + 1));
+                let old = sorted_candidates(&loads, from, &EFFECTIVE);
+                let walk: Vec<(HostId, Resources)> =
+                    state.candidates(0, from, &[]).map(|(h, l, _)| (h, l)).collect();
+                prop_assert_eq!(&walk, &old);
+
+                let demand = random_load(&mut rng) * 0.5;
+                let bounded: Vec<(HostId, Resources)> = state
+                    .candidates(fit_start(demand, &EFFECTIVE), from, &[])
+                    .map(|(h, l, _)| (h, l))
+                    .collect();
+                let skipped = old.len() - bounded.len();
+                prop_assert_eq!(&old[skipped..], &bounded[..], "bounded walk is a suffix");
+                for (h, l) in &old[..skipped] {
+                    prop_assert!(
+                        !(*l + demand).fits_within(&EFFECTIVE),
+                        "skipped host {} ({}) would take {}", h, l, demand
+                    );
+                }
+            }
+        }
+
+        /// Phase 2's overlay picks the same destinations, in the same
+        /// order, as the old version that cloned the load maps per
+        /// evaluated host and re-sorted them per member.
+        #[test]
+        fn evacuation_overlay_matches_clone_and_sort(
+            n_hosts in 2usize..24,
+            n_groups in 1usize..60,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut dc = DataCenter::hs23_default();
+            while dc.len() < n_hosts {
+                dc.provision();
+            }
+            let mut constraints = ConstraintSet::new();
+            for _ in 0..n_groups / 4 {
+                let a = rng.random_range(0..n_groups as u32);
+                let b = rng.random_range(0..n_groups as u32);
+                if a != b {
+                    let _ = constraints.add(Constraint::AntiColocate(VmId(a), VmId(b)));
+                }
+            }
+            let input = PlanningInput {
+                vms: Vec::new(),
+                history_hours: 0,
+                constraints,
+            };
+            let groups: Vec<Group> = (0..n_groups)
+                .map(|g| Group {
+                    vms: vec![VmId(g as u32)],
+                    predicted: vec![random_load(&mut rng) * 0.3, random_load(&mut rng) * 0.3],
+                    mem_mb: 1024.0,
+                    net_mbps: rng.random_range(0.0..300.0),
+                    pinned: false,
+                    hist_peak_cpu: 10.0,
+                })
+                .collect();
+            let mut assignment: Vec<HostId> = (0..n_groups)
+                .map(|_| HostId(rng.random_range(0..n_hosts as u32)))
+                .collect();
+            let config = DynamicConfig::baseline();
+            let ctx = Window {
+                win: 1,
+                groups: &groups,
+                input: &input,
+                config: &config,
+                capacity: dc.template().capacity(),
+                effective_net: 800.0,
+                budget_secs: 3600.0,
+            };
+            let mut state = HostState::new(&ctx, &assignment, dc.len(), EFFECTIVE);
+            // Committed moves empty some hosts and refill others.
+            let mut migrations = Vec::new();
+            for _ in 0..rng.random_range(0..2 * n_groups) {
+                let gi = rng.random_range(0..n_groups);
+                let (from, to) = (assignment[gi], HostId(rng.random_range(0..n_hosts as u32)));
+                if from != to {
+                    state.record_move(&ctx, gi, from, to, &mut assignment, &mut migrations);
+                }
+            }
+            for busy in &mut state.link_busy {
+                *busy = rng.random_range(0.0..4000.0);
+            }
+            let old_state = OldState::of(&state);
+            for h in 0..n_hosts {
+                let host = HostId(h as u32);
+                let mut members = state.residents(host).to_vec();
+                members.sort_by(|&a, &b| {
+                    ctx.demand(b)
+                        .dominant_share(&EFFECTIVE)
+                        .total_cmp(&ctx.demand(a).dominant_share(&EFFECTIVE))
+                        .then_with(|| a.cmp(&b))
+                });
+                let old = old_evacuation(&ctx, &dc, host, &members, &old_state);
+                prop_assert_eq!(state.plan_evacuation(&ctx, &dc, host, &members), old);
+            }
+        }
+    }
+
+    /// The per-window host state as the maps it used to be.
+    struct OldState {
+        loads: BTreeMap<HostId, Resources>,
+        net_loads: BTreeMap<HostId, f64>,
+        link_busy: BTreeMap<HostId, f64>,
+        residents: BTreeMap<HostId, Vec<usize>>,
+    }
+
+    impl OldState {
+        fn of(state: &HostState) -> Self {
+            fn map<T: Clone>(v: &[T]) -> BTreeMap<HostId, T> {
+                v.iter()
+                    .enumerate()
+                    .map(|(i, x)| (HostId(i as u32), x.clone()))
+                    .collect()
+            }
+            Self {
+                loads: map(&state.loads),
+                net_loads: map(&state.net_loads),
+                link_busy: map(&state.link_busy),
+                residents: map(&state.residents),
+            }
+        }
+    }
+
+    /// Phase 2's tentative evacuation before the overlay: clone the load
+    /// maps per evaluated host and collect and re-sort every active host
+    /// per member.
+    fn old_evacuation(
+        ctx: &Window,
+        dc: &DataCenter,
+        host: HostId,
+        members_sorted: &[usize],
+        old: &OldState,
+    ) -> Option<Vec<(usize, HostId)>> {
+        let OldState {
+            loads,
+            net_loads,
+            link_busy,
+            residents,
+        } = old;
+        let groups = ctx.groups;
+        let effective = EFFECTIVE;
+        let mut tentative_loads = loads.clone();
+        tentative_loads.remove(&host);
+        let mut tentative_net = net_loads.clone();
+        tentative_net.remove(&host);
+        let mut moves: Vec<(usize, HostId)> = Vec::new();
+        for &gi in members_sorted {
+            let mut placed = false;
+            let candidates = sorted_candidates(&tentative_loads, host, &effective);
+            for (cand, cand_load) in candidates {
+                if !(cand_load + ctx.demand(gi)).fits_within(&effective) {
+                    continue;
+                }
+                if link_busy.get(&cand).copied().unwrap_or(0.0) > ctx.budget_secs {
+                    continue;
+                }
+                if ctx.effective_net > 0.0
+                    && tentative_net.get(&cand).copied().unwrap_or(0.0) + groups[gi].net_mbps
+                        > ctx.effective_net
+                {
+                    continue;
+                }
+                let location = dc.host(cand).expect("provisioned").location();
+                let dest_residents: Vec<VmId> = residents.get(&cand).map_or_else(Vec::new, |l| {
+                    l.iter()
+                        .flat_map(|&g| groups[g].vms.iter().copied())
+                        .collect()
+                });
+                if !ctx
+                    .input
+                    .constraints
+                    .allows_group(&groups[gi].vms, location, &dest_residents)
+                {
+                    continue;
+                }
+                *tentative_loads.entry(cand).or_insert(Resources::ZERO) += ctx.demand(gi);
+                *tentative_net.entry(cand).or_insert(0.0) += groups[gi].net_mbps;
+                moves.push((gi, cand));
+                placed = true;
+                break;
+            }
+            if !placed {
+                return None;
+            }
+        }
+        Some(moves)
     }
 
     #[test]

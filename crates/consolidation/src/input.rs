@@ -250,10 +250,26 @@ impl PlanningInput {
         self.history_hours.min(self.total_hours())..self.total_hours()
     }
 
-    /// Looks up a VM trace by id.
+    /// Position of VM `id` in [`vms`](Self::vms).
+    ///
+    /// VM ids are unique, and generated workloads number them densely
+    /// from 0, so VM `id` normally sits at index `id`: that slot is
+    /// checked first, in O(1). Inputs whose ids are not dense (e.g.
+    /// [`from_warehouse`](Self::from_warehouse) after skipping sources)
+    /// fall back to a linear scan.
+    #[must_use]
+    pub fn vm_index(&self, id: VmId) -> Option<usize> {
+        let slot = id.0 as usize;
+        match self.vms.get(slot) {
+            Some(t) if t.vm.id == id => Some(slot),
+            _ => self.vms.iter().position(|t| t.vm.id == id),
+        }
+    }
+
+    /// Looks up a VM trace by id (see [`vm_index`](Self::vm_index)).
     #[must_use]
     pub fn vm_trace(&self, id: VmId) -> Option<&VmTrace> {
-        self.vms.iter().find(|t| t.vm.id == id)
+        self.vm_index(id).map(|i| &self.vms[i])
     }
 
     /// All VM ids, in input order.
@@ -330,6 +346,62 @@ mod tests {
         let first = input.vm_ids()[0];
         assert!(input.vm_trace(first).is_some());
         assert!(input.vm_trace(VmId(9999)).is_none());
+    }
+
+    /// An input holding one one-hour trace per id, in the given order.
+    fn input_with_ids(ids: &[u32]) -> PlanningInput {
+        use vmcw_trace::series::StepSecs;
+        let vms = ids
+            .iter()
+            .map(|&id| VmTrace {
+                vm: Vm::new(VmId(id), format!("vm{id}"), 1024.0),
+                cpu_rpe2: TimeSeries::new(StepSecs::HOUR, vec![f64::from(id)]),
+                mem_mb: TimeSeries::new(StepSecs::HOUR, vec![1.0]),
+                net_peak_mbps: 0.0,
+            })
+            .collect();
+        PlanningInput {
+            vms,
+            history_hours: 0,
+            constraints: ConstraintSet::new(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `vm_trace` agrees with the linear `find` it replaced on dense,
+        /// gapped and shuffled ids, for present and absent ids alike.
+        #[test]
+        fn vm_trace_matches_linear_find(
+            n in 0usize..40,
+            layout in 0u8..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut ids: Vec<u32> = match layout {
+                0 => (0..n as u32).collect(),
+                // Gapped: ascending, with random holes (some ids skipped).
+                1 => (0..n as u32).map(|i| 2 * i + rng.random_range(0u32..2)).collect(),
+                _ => (0..n as u32).collect(),
+            };
+            if layout == 2 {
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.random_range(0..=i));
+                }
+            }
+            let input = input_with_ids(&ids);
+            for probe in 0..(2 * n as u32 + 3) {
+                let id = VmId(probe);
+                let old = input.vms.iter().find(|t| t.vm.id == id);
+                proptest::prop_assert_eq!(input.vm_trace(id), old, "id {}", probe);
+                proptest::prop_assert_eq!(
+                    input.vm_index(id),
+                    input.vms.iter().position(|t| t.vm.id == id)
+                );
+            }
+        }
     }
 
     #[test]

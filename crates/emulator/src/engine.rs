@@ -7,7 +7,7 @@
 //! physical server captures the additional demand from virtual machines
 //! that can not be met within the server's capacity" (§5.3).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -422,7 +422,9 @@ pub struct Replay<'a> {
     hour: usize,
     ledger: FaultLedger,
     state: Option<FaultState>,
-    last_good: BTreeMap<VmId, (Resources, usize)>,
+    /// Last good sample and its staleness per VM, indexed like
+    /// `input.vms`; `None` until the VM's first sample.
+    last_good: Vec<Option<(Resources, usize)>>,
     accs: Vec<HostAcc>,
     per_hour: Vec<HourSummary>,
     energy_wh: f64,
@@ -472,7 +474,7 @@ impl<'a> Replay<'a> {
             hour: 0,
             ledger: FaultLedger::default(),
             state,
-            last_good: BTreeMap::new(),
+            last_good: vec![None; input.vms.len()],
             accs: (0..n_hosts).map(|_| HostAcc::zero()).collect(),
             per_hour: Vec::with_capacity(hours),
             energy_wh: 0.0,
@@ -547,11 +549,12 @@ impl<'a> Replay<'a> {
             .collect();
         fresh.per_hour = ckpt.per_hour.clone();
         fresh.cpu_contention_samples = ckpt.cpu_contention_samples.clone();
-        fresh.last_good = ckpt
-            .last_good
-            .iter()
-            .map(|&(vm, r, stale)| (vm, (r, stale)))
-            .collect();
+        for &(vm, r, stale) in &ckpt.last_good {
+            let i = input
+                .vm_index(vm)
+                .ok_or_else(|| mismatch(format!("last good sample of {vm}, which has no trace")))?;
+            fresh.last_good[i] = Some((r, stale));
+        }
         if let (Some(fs), Some(st)) = (&ckpt.fault, fresh.state.as_mut()) {
             // Replaying the recorded per-host VM lists through assign()
             // reproduces the engine's exact storage order, hence the
@@ -611,11 +614,7 @@ impl<'a> Replay<'a> {
                 .collect(),
             per_hour: self.per_hour.clone(),
             cpu_contention_samples: self.cpu_contention_samples.clone(),
-            last_good: self
-                .last_good
-                .iter()
-                .map(|(&vm, &(r, stale))| (vm, r, stale))
-                .collect(),
+            last_good: self.last_good_by_id(),
             fault: self.state.as_ref().map(|st| {
                 let current = st.current.resolve(self.plan);
                 FaultStateCheckpoint {
@@ -628,6 +627,20 @@ impl<'a> Replay<'a> {
                 }
             }),
         }
+    }
+
+    /// The dropout survival state as checkpointed: one entry per VM
+    /// seen so far, sorted by id.
+    fn last_good_by_id(&self) -> Vec<(VmId, Resources, usize)> {
+        let mut good: Vec<(VmId, Resources, usize)> = self
+            .last_good
+            .iter()
+            .zip(&self.input.vms)
+            .filter_map(|(g, t)| g.map(|(r, stale)| (t.vm.id, r, stale)))
+            .collect();
+        // Input order is id order for generated inputs; others need this.
+        good.sort_by_key(|&(vm, _, _)| vm);
+        good
     }
 
     /// Replays one evaluation hour.
@@ -687,17 +700,17 @@ impl<'a> Replay<'a> {
             debug_assert!(!vms.is_empty());
             let mut demand = Resources::ZERO;
             for &vm in vms {
-                let t = self
+                let i = self
                     .input
-                    .vm_trace(vm)
+                    .vm_index(vm)
                     .ok_or(EmulatorError::MissingTrace { vm })?;
+                let t = &self.input.vms[i];
                 let sample = t.demand_at(eval.start + h);
                 let sample = match faults {
                     Some(fcfg) => survive_sample(
                         fcfg,
-                        &mut self.last_good,
+                        &mut self.last_good[i],
                         t,
-                        vm,
                         h,
                         eval.start,
                         sample,
@@ -1042,25 +1055,24 @@ fn step_faults(
 /// NaN samples are replaced by the VM's last good value, tracking
 /// staleness against the configured budget. The hour immediately before
 /// the evaluation window seeds the hold for gaps at hour 0.
-#[allow(clippy::too_many_arguments)]
 fn survive_sample(
     fcfg: &FaultConfig,
-    last_good: &mut BTreeMap<VmId, (Resources, usize)>,
+    last_good: &mut Option<(Resources, usize)>,
     trace: &VmTrace,
-    vm: VmId,
     h: usize,
     eval_start: usize,
     sample: Resources,
     ledger: &mut FaultLedger,
 ) -> Result<Resources, EmulatorError> {
+    let vm = trace.vm.id;
     let missing =
         sample.cpu_rpe2.is_nan() || sample.mem_mb.is_nan() || sample_dropped(fcfg, vm, h);
     if !missing {
-        last_good.insert(vm, (sample, 0));
+        *last_good = Some((sample, 0));
         return Ok(sample);
     }
     ledger.stale_sample_hours += 1;
-    match last_good.get_mut(&vm) {
+    match last_good {
         Some((good, stale)) => {
             *stale += 1;
             if *stale > fcfg.max_stale_hours {
@@ -1081,7 +1093,7 @@ fn survive_sample(
                 .filter(|d| !d.cpu_rpe2.is_nan() && !d.mem_mb.is_nan());
             match fallback {
                 Some(good) => {
-                    last_good.insert(vm, (good, 1));
+                    *last_good = Some((good, 1));
                     Ok(good)
                 }
                 None => Err(TraceGapError {
@@ -1408,6 +1420,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn last_good_checkpoints_by_id_whatever_the_input_order() {
+        // The dropout hold is stored in input order; checkpoints must
+        // still list it by VM id, so reordering the input changes no
+        // checkpoint byte, and resuming from it changes no report byte.
+        use crate::checkpoint::{CheckpointError, ReplayCheckpoint};
+        use crate::faults::FaultConfig;
+        let (input, planner) = setup(DataCenterId::Airlines);
+        let plan = planner.plan_semi_static(&input).unwrap();
+        let mut reversed = input.clone();
+        reversed.vms.reverse();
+        let cfg = EmulatorConfig::default();
+        let faults = FaultConfig {
+            trace_dropout_prob: 0.05,
+            ..FaultConfig::disabled()
+        };
+        let mut forward = Replay::new(&input, &plan, &cfg, Some(&faults)).unwrap();
+        let mut backward = Replay::new(&reversed, &plan, &cfg, Some(&faults)).unwrap();
+        for _ in 0..20 {
+            forward.step().unwrap();
+            backward.step().unwrap();
+        }
+        let ckpt = backward.checkpoint();
+        assert!(!ckpt.last_good.is_empty());
+        assert!(ckpt.last_good.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(forward.checkpoint().encode(), ckpt.encode());
+
+        let baseline = emulate(&input, &plan, &cfg, Some(&faults)).unwrap();
+        let decoded = ReplayCheckpoint::decode(&ckpt.encode()).unwrap();
+        let mut resumed = Replay::resume(&reversed, &plan, &cfg, Some(&faults), &decoded).unwrap();
+        while !resumed.is_done() {
+            resumed.step().unwrap();
+        }
+        assert_eq!(baseline, resumed.into_report());
+
+        // A hold for a VM the input does not have is a foreign checkpoint.
+        let mut foreign = ckpt;
+        foreign.last_good[0].0 = VmId(u32::MAX);
+        let err = Replay::resume(&input, &plan, &cfg, Some(&faults), &foreign).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err}");
     }
 
     #[test]
