@@ -13,7 +13,7 @@
 //! * fig13-16: Dynamic@1.0 ≈ 0.82×Stochastic (Banking), ≈ Stochastic (Airlines).
 
 use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
-use vmcw_consolidation::planner::Planner;
+use vmcw_consolidation::planner::{Planner, PlannerKind};
 use vmcw_emulator::engine::{emulate, EmulatorConfig};
 use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
 use vmcw_trace::stats;
@@ -182,15 +182,17 @@ fn report(dc: DataCenterId, scale: f64, seed: u64) {
         );
     }
     let planner = Planner::baseline();
-    let semi = planner.plan_semi_static(&input).expect("semi");
-    let stoch = planner.plan_stochastic(&input).expect("stoch");
+    let semi = planner.plan(PlannerKind::SemiStatic, &input).expect("semi");
+    let stoch = planner
+        .plan(PlannerKind::Stochastic, &input)
+        .expect("stoch");
     let n_semi = semi.provisioned_hosts();
     let n_stoch = stoch.provisioned_hosts();
     print!("  hosts: vanilla {n_semi}  stochastic {n_stoch}  dynamic@U:");
     let mut dyn_hosts = Vec::new();
     for bound in [0.7, 0.8, 0.9, 1.0] {
         let p = planner.with_utilization_bound(bound);
-        let plan = p.plan_dynamic(&input).expect("dyn");
+        let plan = p.plan(PlannerKind::Dynamic, &input).expect("dyn");
         dyn_hosts.push((bound, plan.provisioned_hosts()));
         print!(" {bound}:{}", plan.provisioned_hosts());
     }
@@ -198,7 +200,7 @@ fn report(dc: DataCenterId, scale: f64, seed: u64) {
 
     // Baseline emulation for contention and power.
     let cfg = EmulatorConfig::default();
-    let dynamic = planner.plan_dynamic(&input).expect("dyn");
+    let dynamic = planner.plan(PlannerKind::Dynamic, &input).expect("dyn");
     let r_semi = emulate(&input, &semi, &cfg, None).expect("emulation");
     let r_stoch = emulate(&input, &stoch, &cfg, None).expect("emulation");
     let r_dyn = emulate(&input, &dynamic, &cfg, None).expect("emulation");

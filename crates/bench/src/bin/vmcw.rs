@@ -23,7 +23,6 @@ use vmcw_core::supervise::{
     resume_study_opts, run_study_opts, CancelToken, CellOutcome, CellRetryPolicy, ChaosConfig,
     RunOptions, StudyStatus, SuperviseError, StudySpec,
 };
-use vmcw_emulator::report;
 use vmcw_trace::datacenters::{DataCenterId, GeneratedWorkload, GeneratorConfig};
 use vmcw_trace::{analysis, io, stats};
 
@@ -101,6 +100,27 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         }
     }
     Ok(Args { positional, flags })
+}
+
+/// Parses an optional duration flag, in seconds, that must be finite and
+/// positive: zero, negative and NaN budgets or timeouts would run, but
+/// wrongly.
+fn positive_secs(args: &Args, name: &str) -> Result<Option<f64>, CliError> {
+    args.flags
+        .get(name)
+        .map(|v| {
+            v.parse()
+                .map_err(|e| format!("bad --{name}: {e}"))
+                .and_then(|s: f64| {
+                    if s.is_finite() && s > 0.0 {
+                        Ok(s)
+                    } else {
+                        Err(format!("--{name} must be positive, got {s}"))
+                    }
+                })
+                .map_err(usage)
+        })
+        .transpose()
 }
 
 /// Routes one subcommand. Split from [`main`] so unit tests can drive
@@ -202,22 +222,7 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| usage(format!("bad --max-retries: {e}")))?;
         retry.max_attempts = retries + 1;
     }
-    let heartbeat_timeout_secs = args
-        .flags
-        .get("heartbeat-timeout")
-        .map(|v| {
-            v.parse()
-                .map_err(|e| format!("bad --heartbeat-timeout: {e}"))
-                .and_then(|s: f64| {
-                    if s.is_finite() && s > 0.0 {
-                        Ok(s)
-                    } else {
-                        Err(format!("--heartbeat-timeout must be positive, got {s}"))
-                    }
-                })
-                .map_err(usage)
-        })
-        .transpose()?;
+    let heartbeat_timeout_secs = positive_secs(&args, "heartbeat-timeout")?;
     let chaos = ChaosConfig::from_env();
     if let Some(c) = &chaos {
         eprintln!(
@@ -246,12 +251,7 @@ fn cmd_study(args: &[String]) -> Result<(), CliError> {
                     .map_err(|e| usage(format!("bad --max-hours: {e}")))?,
             );
         }
-        if let Some(v) = args.flags.get("max-secs") {
-            budget.max_wall_secs = Some(
-                v.parse()
-                    .map_err(|e| usage(format!("bad --max-secs: {e}")))?,
-            );
-        }
+        budget.max_wall_secs = positive_secs(args, "max-secs")?;
         Ok(budget)
     };
     let classify = |e: SuperviseError| match &e {
@@ -683,7 +683,7 @@ fn cmd_drain(args: &[String]) -> Result<(), CliError> {
     let study = Study::from_workload(&config, w);
     let plan = config
         .planner
-        .plan_stochastic(study.input())
+        .plan(PlannerKind::Stochastic, study.input())
         .map_err(|e| CliError::Run(e.to_string()))?;
     let placement = plan.placements.at_hour(0);
     let host = vmcw_cluster::datacenter::HostId(host);
@@ -711,7 +711,6 @@ fn cmd_drain(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_estate(args: &[String]) -> Result<(), CliError> {
-    use vmcw_consolidation::ffd::OrderKey;
     use vmcw_consolidation::fixed_pool::{pack_fixed, FixedPoolError};
     use vmcw_consolidation::sizing::SizingFunction;
     let args = parse_args(args).map_err(usage)?;
@@ -749,14 +748,7 @@ fn cmd_estate(args: &[String]) -> Result<(), CliError> {
         inventory.push((ServerModel::hs22(), hs22));
     }
     let estate = vmcw_cluster::datacenter::DataCenter::heterogeneous(&inventory, 14, 4);
-    match pack_fixed(
-        &demands,
-        &net,
-        &estate,
-        &input.constraints,
-        (1.0, 1.0),
-        OrderKey::Dominant,
-    ) {
+    match pack_fixed(&demands, &net, &estate, &input.constraints) {
         Ok(fit) => {
             println!(
                 "fits: {} VMs across {} hosts; {} hosts left empty",
@@ -897,7 +889,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
             run.cost.provisioned_hosts,
             run.cost.energy_kwh,
             run.report.migrations,
-            report::contention_time_fraction(&run.report) * 100.0,
+            run.report.contention_time_fraction() * 100.0,
             run.report.mean_active_hosts(),
         );
     }
@@ -959,12 +951,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| usage(format!("bad --max-retries: {e}")))?;
         config.retry.max_attempts = retries + 1;
     }
-    if let Some(v) = args.flags.get("heartbeat-timeout") {
-        config.heartbeat_timeout_secs = Some(
-            v.parse()
-                .map_err(|e| usage(format!("bad --heartbeat-timeout: {e}")))?,
-        );
-    }
+    config.heartbeat_timeout_secs = positive_secs(&args, "heartbeat-timeout")?;
     if let Some(v) = args.flags.get("drain-grace") {
         config.drain_grace_secs = v
             .parse()
@@ -1126,6 +1113,24 @@ mod tests {
             panic!("expected a usage error");
         };
         assert!(msg.contains("frobnicate"), "{msg}");
+    }
+
+    #[test]
+    fn non_positive_durations_are_usage_errors_exit_2() {
+        let dir = std::env::temp_dir().join(format!("vmcw-durations-{}", std::process::id()));
+        let out = dir.to_str().unwrap();
+        for bad in ["-1", "0", "nan", "inf"] {
+            for args in [
+                ["--out", out, "--max-secs", bad],
+                ["--out", out, "--heartbeat-timeout", bad],
+            ] {
+                let result = dispatch("study", &argv(&args));
+                assert_eq!(exit_code_for(&result), 2, "study {args:?}");
+            }
+            let result = dispatch("serve", &argv(&[out, "--heartbeat-timeout", bad]));
+            assert_eq!(exit_code_for(&result), 2, "serve --heartbeat-timeout {bad}");
+        }
+        assert!(!dir.exists(), "a rejected command must not create its dir");
     }
 
     #[test]

@@ -128,7 +128,9 @@ pub fn run_emulator_suite(scales: &[f64], seed: u64) -> BenchSuite {
         let input =
             PlanningInput::from_workload(&workload, HISTORY_DAYS, VirtualizationModel::baseline());
         let planner = Planner::baseline();
-        let plan = planner.plan_dynamic(&input).expect("dynamic plan");
+        let plan = planner
+            .plan(PlannerKind::Dynamic, &input)
+            .expect("dynamic plan");
         let cfg = EmulatorConfig::default();
 
         let (report, replay_secs) = timed(|| emulate(&input, &plan, &cfg, None).expect("replay"));

@@ -68,6 +68,13 @@ impl ServerModel {
         Resources::new(self.cpu_rpe2, self.mem_mb)
     }
 
+    /// Capacity under per-dimension utilization bounds `(cpu, mem)`, e.g.
+    /// `(0.8, 0.8)` for a 20% migration reservation.
+    #[must_use]
+    pub fn effective_capacity(&self, bounds: (f64, f64)) -> Resources {
+        Resources::new(self.cpu_rpe2 * bounds.0, self.mem_mb * bounds.1)
+    }
+
     /// CPU(RPE2)/memory(GB) ratio of this model — the Fig 6 reference
     /// quantity (160 for the HS23 Elite).
     #[must_use]

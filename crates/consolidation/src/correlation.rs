@@ -284,11 +284,9 @@ pub fn correlation_pack(
     history: Range<usize>,
     dc: &mut DataCenter,
     constraints: &ConstraintSet,
-    bounds: (f64, f64),
     config: &CorrelationConfig,
 ) -> Result<Placement, PackError> {
-    let capacity = dc.template().capacity();
-    let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
+    let effective = dc.template().capacity();
     let items = build_correlation_items(vms, history, config, constraints)?;
     let mut model =
         CorrelationModel::new(effective, *config, &items, dc.len(), dc.template().net_mbps);
@@ -353,15 +351,8 @@ mod tests {
         // bodies (~5 each) they share one 100-unit host.
         let vms = vec![vm(0, 5.0, 60.0, 2), vm(1, 5.0, 60.0, 14)];
         let mut dc = dc();
-        let p = correlation_pack(
-            &vms,
-            0..24 * 14,
-            &mut dc,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            &config(),
-        )
-        .unwrap();
+        let p =
+            correlation_pack(&vms, 0..24 * 14, &mut dc, &ConstraintSet::new(), &config()).unwrap();
         assert_eq!(p.active_host_count(), 1);
     }
 
@@ -370,15 +361,8 @@ mod tests {
         // Same peak hour → correlated → both at tail 60 → two hosts.
         let vms = vec![vm(0, 5.0, 60.0, 2), vm(1, 5.0, 60.0, 2)];
         let mut dc = dc();
-        let p = correlation_pack(
-            &vms,
-            0..24 * 14,
-            &mut dc,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            &config(),
-        )
-        .unwrap();
+        let p =
+            correlation_pack(&vms, 0..24 * 14, &mut dc, &ConstraintSet::new(), &config()).unwrap();
         assert_eq!(p.active_host_count(), 2);
     }
 
@@ -391,15 +375,7 @@ mod tests {
             ..config()
         };
         let mut dc = dc();
-        let p = correlation_pack(
-            &vms,
-            0..24 * 14,
-            &mut dc,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            &cfg,
-        )
-        .unwrap();
+        let p = correlation_pack(&vms, 0..24 * 14, &mut dc, &ConstraintSet::new(), &cfg).unwrap();
         assert_eq!(p.active_host_count(), 1, "bodies 5+5 share one host");
     }
 
@@ -409,15 +385,8 @@ mod tests {
             .map(|i| vm(i, 5.0, 55.0, (i as usize * 3) % 24))
             .collect();
         let mut dc = dc();
-        let p = correlation_pack(
-            &vms,
-            0..24 * 14,
-            &mut dc,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            &config(),
-        )
-        .unwrap();
+        let p =
+            correlation_pack(&vms, 0..24 * 14, &mut dc, &ConstraintSet::new(), &config()).unwrap();
         // Tail-sizing bound: 12×55/100 → 7 hosts. Body bound: 1 host.
         assert!(p.active_host_count() <= 7);
         assert!(p.active_host_count() >= 1);

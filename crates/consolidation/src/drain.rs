@@ -91,7 +91,7 @@ pub fn plan_drain(
     let eval = input.eval_range();
     let hour = eval.start + at_hour;
     let capacity = dc.template().capacity();
-    let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
+    let effective = dc.template().effective_capacity(bounds);
     let effective_net = dc.template().net_mbps * bounds.0;
 
     let demand_of = |vm: VmId| -> Resources {
@@ -255,7 +255,7 @@ mod tests {
         .unwrap();
         // Recompute destination loads after the drain.
         let eval = input.eval_range();
-        let capacity = plan.dc.template().capacity();
+        let effective = plan.dc.template().effective_capacity((0.9, 0.9));
         let mut loads: BTreeMap<HostId, Resources> = BTreeMap::new();
         for (vm, h) in placement.iter() {
             let h = if h == host {
@@ -268,9 +268,7 @@ mod tests {
         }
         for (h, load) in loads {
             assert!(
-                load.fits_within(
-                    &(Resources::new(capacity.cpu_rpe2 * 0.9, capacity.mem_mb * 0.9) * 1.0001)
-                ),
+                load.fits_within(&(effective * 1.0001)),
                 "{h} overloaded after drain: {load}"
             );
         }

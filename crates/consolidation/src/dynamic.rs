@@ -199,12 +199,12 @@ pub fn plan_dynamic(
     let eval_hours = eval.len();
     let n_windows = eval_hours.div_ceil(w.max(1));
     let windows_per_day = config.windows_per_day();
-    let capacity = dc.template().capacity();
     let bounds = (
         config.reservation.cpu_bound(),
         config.reservation.mem_bound(),
     );
-    let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
+    let capacity = dc.template().capacity();
+    let effective = dc.template().effective_capacity(bounds);
     // The migration reservation also covers the host link: workload
     // traffic may only use the bounded share of it.
     let effective_net = dc.template().net_mbps * bounds.0;
@@ -316,13 +316,14 @@ pub fn plan_dynamic(
         })
         .collect();
     let net_demands: BTreeMap<VmId, f64> = input.net_demands();
-    let initial = ffd::first_fit_decreasing_with_network(
+    let initial = ffd::pack_demands(
         &demands0,
         &net_demands,
         dc,
         &input.constraints,
         bounds,
         config.order,
+        ffd::PackingAlgorithm::FirstFitDecreasing,
     )?;
 
     // Group → host assignment mirrors the per-VM placement.
@@ -901,8 +902,7 @@ mod tests {
             ..DynamicConfig::baseline()
         };
         let (out, dc) = run(&input, &config);
-        let capacity = dc.template().capacity();
-        let effective = Resources::new(capacity.cpu_rpe2 * 0.8, capacity.mem_mb * 0.8);
+        let effective = dc.template().effective_capacity((0.8, 0.8));
         let eval = input.eval_range();
         for (win, p) in out.placements.iter().enumerate() {
             let lo = eval.start + win * 2;

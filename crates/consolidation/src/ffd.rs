@@ -8,7 +8,9 @@
 //!
 //! The packing driver ([`pack`]) is generic over a [`BinPackModel`] so the
 //! stochastic planner can reuse the same FFD skeleton with envelope-based
-//! feasibility instead of scalar demands.
+//! feasibility instead of scalar demands. The scalar model, [`FfdModel`],
+//! also runs Best-Fit-Decreasing ([`PackingAlgorithm`]): the same decreasing
+//! order, but each item goes to the fullest feasible host.
 
 use crate::placement::{PackError, Placement};
 use std::collections::BTreeMap;
@@ -140,6 +142,18 @@ pub fn attach_network(items: &mut [PackItem], net: &BTreeMap<VmId, f64>) {
     }
 }
 
+/// How a packing item picks among the hosts that can take it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PackingAlgorithm {
+    /// First-Fit-Decreasing — the paper's choice: the lowest-id feasible
+    /// host.
+    FirstFitDecreasing,
+    /// Best-Fit-Decreasing — the classical alternative: the fullest
+    /// feasible host. It trades a denser packing on skewed item sizes for
+    /// more comparisons; the `ablation` experiment compares the two.
+    BestFitDecreasing,
+}
+
 /// Host-state model plugged into the FFD driver.
 ///
 /// Implementations track per-host load in whatever representation their
@@ -161,13 +175,12 @@ pub trait BinPackModel {
     fn fits(&self, host: usize, item: &Self::Item) -> bool;
     /// Whether `item` fits on a brand-new empty host.
     fn fits_empty(&self, item: &Self::Item) -> bool;
-    /// Preference for placing `item` on host `host` among the feasible
-    /// hosts; the driver picks the feasible host with the highest
-    /// preference (ties broken by lowest host id). The default of a
-    /// constant 0 yields classic *first*-fit; best-fit models override
-    /// this with the host's current fullness.
-    fn preference(&self, _host: usize, _item: &Self::Item) -> f64 {
-        0.0
+    /// Best-fit preference for host `host`. `None` (the default) is
+    /// first-fit: the driver takes the first feasible host. `Some(p)`
+    /// makes the driver take the feasible host with the highest `p`,
+    /// ties broken by lowest host id.
+    fn preference(&self, _host: usize) -> Option<f64> {
+        None
     }
     /// Adds `item`'s load to host `host`.
     fn place(&mut self, host: usize, item: &Self::Item);
@@ -181,8 +194,8 @@ pub trait BinPackModel {
 ///
 /// Provisions hosts in `dc` as needed. Host-pinned items are placed first
 /// (provisioning up to the pinned id if necessary); remaining items are
-/// sorted by decreasing [`BinPackModel::sort_key`] and first-fit into the
-/// lowest-id feasible host.
+/// sorted by decreasing [`BinPackModel::sort_key`] and go to the host
+/// [`BinPackModel::preference`] selects among the feasible ones.
 ///
 /// # Errors
 ///
@@ -246,17 +259,17 @@ pub fn pack<M: BinPackModel>(
         for idx in 0..dc.len() {
             let host = HostId(idx as u32);
             let location = dc.host(host).expect("within len").location();
-            if model.fits(idx, &item)
-                && constraints.allows_group(&group, location, placement.vms_on(host))
+            if !model.fits(idx, &item)
+                || !constraints.allows_group(&group, location, placement.vms_on(host))
             {
-                let pref = model.preference(idx, &item);
-                let better = match best {
-                    None => true,
-                    Some((_, best_pref)) => pref > best_pref,
-                };
-                if better {
-                    best = Some((idx, pref));
-                }
+                continue;
+            }
+            let Some(pref) = model.preference(idx) else {
+                best = Some((idx, 0.0));
+                break;
+            };
+            if best.is_none_or(|(_, best_pref)| pref > best_pref) {
+                best = Some((idx, pref));
             }
         }
         if let Some((idx, _)) = best {
@@ -298,48 +311,45 @@ pub fn pack<M: BinPackModel>(
     Ok(placement)
 }
 
-/// Scalar FFD model: per-host accumulated demand against an effective
-/// capacity (host capacity × utilization bounds).
+/// Scalar packing model: per-host accumulated demand and link traffic
+/// against an effective capacity (host capacity × utilization bounds) and
+/// the host link.
 #[derive(Debug, Clone)]
 pub struct FfdModel {
     effective_capacity: Resources,
+    net_capacity: f64,
     order: OrderKey,
+    packing: PackingAlgorithm,
     used: Vec<Resources>,
-    net_capacity: Option<f64>,
     used_net: Vec<f64>,
 }
 
 impl FfdModel {
     /// Creates the model for a data center with `existing_hosts` already
-    /// provisioned (their loads start at zero).
+    /// provisioned (their loads start at zero). No host may exceed
+    /// `net_capacity` Mbit/s of summed peak VM traffic.
     #[must_use]
-    pub fn new(effective_capacity: Resources, order: OrderKey, existing_hosts: usize) -> Self {
+    pub fn new(
+        effective_capacity: Resources,
+        net_capacity: f64,
+        order: OrderKey,
+        packing: PackingAlgorithm,
+        existing_hosts: usize,
+    ) -> Self {
         Self {
             effective_capacity,
+            net_capacity,
             order,
+            packing,
             used: vec![Resources::ZERO; existing_hosts],
-            net_capacity: None,
             used_net: vec![0.0; existing_hosts],
         }
-    }
-
-    /// Enables the host-link bandwidth constraint: no host may exceed
-    /// `net_mbps` of summed peak VM traffic.
-    #[must_use]
-    pub fn with_network_capacity(mut self, net_mbps: f64) -> Self {
-        self.net_capacity = Some(net_mbps);
-        self
     }
 
     /// Current load of a host.
     #[must_use]
     pub fn load(&self, host: usize) -> Resources {
         self.used[host]
-    }
-
-    fn net_fits(&self, used: f64, item: &PackItem) -> bool {
-        self.net_capacity
-            .is_none_or(|cap| used + item.net_mbps <= cap)
     }
 }
 
@@ -365,11 +375,18 @@ impl BinPackModel for FfdModel {
 
     fn fits(&self, host: usize, item: &PackItem) -> bool {
         (self.used[host] + item.demand).fits_within(&self.effective_capacity)
-            && self.net_fits(self.used_net[host], item)
+            && self.used_net[host] + item.net_mbps <= self.net_capacity
     }
 
     fn fits_empty(&self, item: &PackItem) -> bool {
-        item.demand.fits_within(&self.effective_capacity) && self.net_fits(0.0, item)
+        item.demand.fits_within(&self.effective_capacity) && item.net_mbps <= self.net_capacity
+    }
+
+    fn preference(&self, host: usize) -> Option<f64> {
+        // Best-fit prefers the fullest host: its dominant share before
+        // placing.
+        (self.packing == PackingAlgorithm::BestFitDecreasing)
+            .then(|| self.used[host].dominant_share(&self.effective_capacity))
     }
 
     fn place(&mut self, host: usize, item: &PackItem) {
@@ -386,49 +403,34 @@ impl BinPackModel for FfdModel {
     }
 }
 
-/// Packs per-VM scalar demands with FFD into `dc`, honouring constraints.
-///
-/// `bounds` scales the host capacity per dimension (e.g. `(0.8, 0.8)` for
-/// the 20% migration reservation).
+/// Packs per-VM scalar demands into `dc`, honouring constraints and the
+/// §3.1 host-link bandwidth constraint: on every host the summed peak
+/// network demand (`net`) of colocated VMs must not exceed the template's
+/// link. `bounds` scales the host capacity per dimension (e.g.
+/// `(0.8, 0.8)` for the 20% migration reservation).
 ///
 /// # Errors
 ///
 /// See [`pack`] and [`build_items`].
-pub fn first_fit_decreasing(
-    demands: &BTreeMap<VmId, Resources>,
-    dc: &mut DataCenter,
-    constraints: &ConstraintSet,
-    bounds: (f64, f64),
-    order: OrderKey,
-) -> Result<Placement, PackError> {
-    let capacity = dc.template().capacity();
-    let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
-    let items = build_items(demands, constraints)?;
-    let mut model = FfdModel::new(effective, order, dc.len());
-    pack(&mut model, items, dc, constraints)
-}
-
-/// [`first_fit_decreasing`] with the host-link bandwidth constraint of
-/// §3.1: on every host the summed peak network demand of colocated VMs
-/// must not exceed the host's link.
-///
-/// # Errors
-///
-/// See [`first_fit_decreasing`].
-pub fn first_fit_decreasing_with_network(
+pub fn pack_demands(
     demands: &BTreeMap<VmId, Resources>,
     net: &BTreeMap<VmId, f64>,
     dc: &mut DataCenter,
     constraints: &ConstraintSet,
     bounds: (f64, f64),
     order: OrderKey,
+    packing: PackingAlgorithm,
 ) -> Result<Placement, PackError> {
-    let capacity = dc.template().capacity();
-    let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
     let mut items = build_items(demands, constraints)?;
     attach_network(&mut items, net);
-    let mut model =
-        FfdModel::new(effective, order, dc.len()).with_network_capacity(dc.template().net_mbps);
+    let template = dc.template();
+    let mut model = FfdModel::new(
+        template.effective_capacity(bounds),
+        template.net_mbps,
+        order,
+        packing,
+        dc.len(),
+    );
     pack(&mut model, items, dc, constraints)
 }
 
@@ -462,12 +464,34 @@ mod tests {
             .collect()
     }
 
+    fn first_fit(
+        d: &BTreeMap<VmId, Resources>,
+        dc: &mut DataCenter,
+        cs: &ConstraintSet,
+        bounds: (f64, f64),
+        order: OrderKey,
+    ) -> Result<Placement, PackError> {
+        let packing = PackingAlgorithm::FirstFitDecreasing;
+        pack_demands(d, &BTreeMap::new(), dc, cs, bounds, order, packing)
+    }
+
+    fn best_fit(
+        d: &BTreeMap<VmId, Resources>,
+        dc: &mut DataCenter,
+        cs: &ConstraintSet,
+        bounds: (f64, f64),
+        order: OrderKey,
+    ) -> Result<Placement, PackError> {
+        let packing = PackingAlgorithm::BestFitDecreasing;
+        pack_demands(d, &BTreeMap::new(), dc, cs, bounds, order, packing)
+    }
+
     #[test]
     fn packs_into_minimum_hosts_when_uniform() {
         // 8 VMs of (25, 250): exactly 4 per host on both dimensions.
         let d = demands(&(0..8).map(|i| (i, 25.0, 250.0)).collect::<Vec<_>>());
         let mut dc = dc();
-        let p = first_fit_decreasing(
+        let p = first_fit(
             &d,
             &mut dc,
             &ConstraintSet::new(),
@@ -485,7 +509,7 @@ mod tests {
         // CPU-light but memory-heavy: memory limits to 2 per host.
         let d = demands(&(0..4).map(|i| (i, 1.0, 500.0)).collect::<Vec<_>>());
         let mut dc = dc();
-        let p = first_fit_decreasing(
+        let p = first_fit(
             &d,
             &mut dc,
             &ConstraintSet::new(),
@@ -501,7 +525,7 @@ mod tests {
         let d = demands(&(0..4).map(|i| (i, 1.0, 500.0)).collect::<Vec<_>>());
         let mut dc = dc();
         // 20% reservation → only one 500 MB VM per host.
-        let p = first_fit_decreasing(
+        let p = first_fit(
             &d,
             &mut dc,
             &ConstraintSet::new(),
@@ -516,7 +540,7 @@ mod tests {
     fn oversized_item_is_an_error() {
         let d = demands(&[(0, 150.0, 10.0)]);
         let mut dc = dc();
-        let err = first_fit_decreasing(
+        let err = first_fit(
             &d,
             &mut dc,
             &ConstraintSet::new(),
@@ -533,7 +557,7 @@ mod tests {
         cs.add(Constraint::Colocate(vm(0), vm(1))).unwrap();
         let d = demands(&[(0, 30.0, 100.0), (1, 30.0, 100.0), (2, 30.0, 100.0)]);
         let mut dc = dc();
-        let p = first_fit_decreasing(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+        let p = first_fit(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
         assert_eq!(p.host_of(vm(0)), p.host_of(vm(1)));
     }
 
@@ -543,7 +567,7 @@ mod tests {
         cs.add(Constraint::AntiColocate(vm(0), vm(1))).unwrap();
         let d = demands(&[(0, 10.0, 100.0), (1, 10.0, 100.0)]);
         let mut dc = dc();
-        let p = first_fit_decreasing(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+        let p = first_fit(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
         assert_ne!(p.host_of(vm(0)), p.host_of(vm(1)));
         assert_eq!(p.active_host_count(), 2);
     }
@@ -554,7 +578,7 @@ mod tests {
         cs.add(Constraint::PinToHost(vm(1), HostId(2))).unwrap();
         let d = demands(&[(0, 10.0, 100.0), (1, 10.0, 100.0)]);
         let mut dc = dc();
-        let p = first_fit_decreasing(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+        let p = first_fit(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
         assert_eq!(p.host_of(vm(1)), Some(HostId(2)));
         assert!(dc.len() >= 3, "hosts provisioned up to the pin");
     }
@@ -570,7 +594,7 @@ mod tests {
         .unwrap();
         let d = demands(&[(0, 10.0, 100.0)]);
         let mut dc = dc();
-        let p = first_fit_decreasing(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+        let p = first_fit(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
         let host = p.host_of(vm(0)).unwrap();
         assert_eq!(
             dc.host(host).unwrap().subnet,
@@ -586,7 +610,7 @@ mod tests {
         cs.add(Constraint::PinToRack(vm(0), RackId(1))).unwrap();
         let d = demands(&[(0, 10.0, 100.0), (1, 10.0, 100.0)]);
         let mut dc = dc();
-        let p = first_fit_decreasing(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+        let p = first_fit(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
         let host = p.host_of(vm(0)).unwrap();
         assert_eq!(dc.host(host).unwrap().rack, RackId(1));
         // The unconstrained VM stays on the first host.
@@ -626,8 +650,7 @@ mod tests {
         cs.add(Constraint::PinToHost(vm(1), HostId(0))).unwrap();
         let d = demands(&[(0, 80.0, 10.0), (1, 80.0, 10.0)]);
         let mut dc = dc();
-        let err =
-            first_fit_decreasing(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap_err();
+        let err = first_fit(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap_err();
         assert!(matches!(err, PackError::PinnedHostInfeasible { .. }));
     }
 
@@ -643,7 +666,7 @@ mod tests {
             (3, 60.0, 1.0),
         ]);
         let mut dc = dc();
-        let p = first_fit_decreasing(
+        let p = first_fit(
             &d,
             &mut dc,
             &ConstraintSet::new(),
@@ -661,13 +684,14 @@ mod tests {
         let d = demands(&(0..4).map(|i| (i, 1.0, 10.0)).collect::<Vec<_>>());
         let net: BTreeMap<VmId, f64> = (0..4).map(|i| (vm(i), 400.0)).collect();
         let mut dc1 = dc();
-        let p = first_fit_decreasing_with_network(
+        let p = pack_demands(
             &d,
             &net,
             &mut dc1,
             &ConstraintSet::new(),
             (1.0, 1.0),
             OrderKey::Dominant,
+            PackingAlgorithm::FirstFitDecreasing,
         )
         .unwrap();
         assert_eq!(p.active_host_count(), 2);
@@ -676,7 +700,7 @@ mod tests {
         }
         // Without the constraint they all share one host.
         let mut dc2 = dc();
-        let p2 = first_fit_decreasing(
+        let p2 = first_fit(
             &d,
             &mut dc2,
             &ConstraintSet::new(),
@@ -712,7 +736,7 @@ mod tests {
         );
         let run = || {
             let mut dc = dc();
-            first_fit_decreasing(
+            first_fit(
                 &d,
                 &mut dc,
                 &ConstraintSet::new(),
@@ -732,5 +756,91 @@ mod tests {
         assert_eq!(OrderKey::Mem.key(&item, &cap), 0.1);
         assert_eq!(OrderKey::Dominant.key(&item, &cap), 0.5);
         assert!((OrderKey::L2.key(&item, &cap) - (0.25f64 + 0.01).sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bfd_prefers_the_fullest_host() {
+        // After 55 → h0 and 48, 46 → h1 (94), the 5 fits both hosts and
+        // best-fit picks host 1 because it is the fuller one.
+        let d = demands(&[
+            (0, 55.0, 1.0),
+            (1, 48.0, 1.0),
+            (2, 46.0, 1.0),
+            (3, 5.0, 1.0),
+        ]);
+        let mut dc_ffd = dc();
+        let mut dc_bfd = dc();
+        let cs = ConstraintSet::new();
+        let ffd = first_fit(&d, &mut dc_ffd, &cs, (1.0, 1.0), OrderKey::Cpu).unwrap();
+        let bfd = best_fit(&d, &mut dc_bfd, &cs, (1.0, 1.0), OrderKey::Cpu).unwrap();
+        assert_eq!(
+            ffd.host_of(vm(3)).unwrap().0,
+            0,
+            "first-fit takes the first hole"
+        );
+        assert_eq!(
+            bfd.host_of(vm(3)).unwrap().0,
+            1,
+            "best-fit takes the snuggest hole"
+        );
+    }
+
+    #[test]
+    fn bfd_never_overloads() {
+        let d = demands(
+            &(0..30)
+                .map(|i| (i, 7.0 + f64::from(i % 5), 90.0))
+                .collect::<Vec<_>>(),
+        );
+        let mut dc = dc();
+        let p = best_fit(
+            &d,
+            &mut dc,
+            &ConstraintSet::new(),
+            (0.8, 0.8),
+            OrderKey::Dominant,
+        )
+        .unwrap();
+        for host in p.active_hosts() {
+            let load = p.demand_on(host, |vm| d[&vm]);
+            assert!(load.fits_within(&Resources::new(80.0, 800.0)));
+        }
+        assert_eq!(p.len(), 30);
+    }
+
+    #[test]
+    fn bfd_matches_or_beats_ffd_on_host_count_for_1d_instances() {
+        // On classical 1-D instances BFD ≤ FFD + small constant; check a
+        // handful of deterministic instances.
+        for seed in 0..5u32 {
+            let items: Vec<(u32, f64, f64)> = (0..40)
+                .map(|i| {
+                    let size = 10.0 + f64::from((i * 7 + seed * 13) % 45);
+                    (i, size, 1.0)
+                })
+                .collect();
+            let d = demands(&items);
+            let cs = ConstraintSet::new();
+            let mut dc_a = dc();
+            let mut dc_b = dc();
+            let ffd = first_fit(&d, &mut dc_a, &cs, (1.0, 1.0), OrderKey::Cpu).unwrap();
+            let bfd = best_fit(&d, &mut dc_b, &cs, (1.0, 1.0), OrderKey::Cpu).unwrap();
+            assert!(
+                bfd.active_host_count() <= ffd.active_host_count() + 1,
+                "seed {seed}: bfd {} vs ffd {}",
+                bfd.active_host_count(),
+                ffd.active_host_count()
+            );
+        }
+    }
+
+    #[test]
+    fn bfd_respects_constraints() {
+        let mut cs = ConstraintSet::new();
+        cs.add(Constraint::AntiColocate(vm(0), vm(1))).unwrap();
+        let d = demands(&[(0, 10.0, 10.0), (1, 10.0, 10.0)]);
+        let mut dc = dc();
+        let p = best_fit(&d, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+        assert_ne!(p.host_of(vm(0)), p.host_of(vm(1)));
     }
 }

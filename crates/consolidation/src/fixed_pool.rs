@@ -63,7 +63,8 @@ pub struct FixedPoolPlacement {
 
 /// Packs per-VM demands into the existing hosts of `dc` (no
 /// provisioning), honouring per-host capacities, link bandwidth and
-/// constraints. `bounds` scales every host's capacity per dimension.
+/// constraints. Groups go in decreasing [`OrderKey::Dominant`] order
+/// against the biggest host.
 ///
 /// # Errors
 ///
@@ -74,17 +75,12 @@ pub fn pack_fixed(
     net: &BTreeMap<VmId, f64>,
     dc: &DataCenter,
     constraints: &ConstraintSet,
-    bounds: (f64, f64),
-    order: OrderKey,
 ) -> Result<FixedPoolPlacement, FixedPoolError> {
     let mut items = build_items(demands, constraints)?;
     attach_network(&mut items, net);
 
-    // Per-host effective capacities (heterogeneous-aware).
-    let capacities: Vec<Resources> = dc
-        .iter()
-        .map(|h| Resources::new(h.model.cpu_rpe2 * bounds.0, h.model.mem_mb * bounds.1))
-        .collect();
+    // Per-host capacities (heterogeneous-aware).
+    let capacities: Vec<Resources> = dc.iter().map(|h| h.model.capacity()).collect();
     let net_caps: Vec<f64> = dc.iter().map(|h| h.model.net_mbps).collect();
     let mut used = vec![Resources::ZERO; dc.len()];
     let mut used_net = vec![0.0f64; dc.len()];
@@ -128,10 +124,10 @@ pub fn pack_fixed(
         }
     }
 
+    let key = |item: &PackItem| OrderKey::Dominant.key(&item.demand, &reference);
     free.sort_by(|a, b| {
-        order
-            .key(&b.demand, &reference)
-            .total_cmp(&order.key(&a.demand, &reference))
+        key(b)
+            .total_cmp(&key(a))
             .then_with(|| a.vms[0].cmp(&b.vms[0]))
     });
 
@@ -216,15 +212,7 @@ mod tests {
             1,
         );
         let d = demands(&[(0, 100.0, 100.0)]);
-        let out = pack_fixed(
-            &d,
-            &no_net(),
-            &dc,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            OrderKey::Cpu,
-        )
-        .unwrap();
+        let out = pack_fixed(&d, &no_net(), &dc, &ConstraintSet::new()).unwrap();
         assert_eq!(out.placement.host_of(VmId(0)), Some(HostId(1)));
         assert_eq!(out.empty_hosts, vec![HostId(0)]);
     }
@@ -233,42 +221,18 @@ mod tests {
     fn exhausted_pool_is_an_error() {
         let dc = DataCenter::heterogeneous(&[(model("small", 50.0, 500.0), 2)], 4, 1);
         let d = demands(&[(0, 40.0, 100.0), (1, 40.0, 100.0), (2, 40.0, 100.0)]);
-        let err = pack_fixed(
-            &d,
-            &no_net(),
-            &dc,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            OrderKey::Cpu,
-        )
-        .unwrap_err();
+        let err = pack_fixed(&d, &no_net(), &dc, &ConstraintSet::new()).unwrap_err();
         assert!(matches!(err, FixedPoolError::PoolExhausted { .. }));
         assert!(err.to_string().contains("cannot fit"));
     }
 
     #[test]
-    fn bounds_apply_per_host() {
+    fn host_capacity_is_the_limit() {
         let dc = DataCenter::heterogeneous(&[(model("m", 100.0, 1000.0), 1)], 4, 1);
-        let d = demands(&[(0, 90.0, 100.0)]);
-        // 90 > 0.8 × 100 → exhausted under the bound, fits without it.
-        assert!(pack_fixed(
-            &d,
-            &no_net(),
-            &dc,
-            &ConstraintSet::new(),
-            (0.8, 0.8),
-            OrderKey::Cpu
-        )
-        .is_err());
-        assert!(pack_fixed(
-            &d,
-            &no_net(),
-            &dc,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            OrderKey::Cpu
-        )
-        .is_ok());
+        let cs = ConstraintSet::new();
+        // 110 > 100 → exhausted; 90 fits.
+        assert!(pack_fixed(&demands(&[(0, 110.0, 100.0)]), &no_net(), &dc, &cs).is_err());
+        assert!(pack_fixed(&demands(&[(0, 90.0, 100.0)]), &no_net(), &dc, &cs).is_ok());
     }
 
     #[test]
@@ -277,7 +241,7 @@ mod tests {
         let mut cs = ConstraintSet::new();
         cs.add(Constraint::AntiColocate(VmId(0), VmId(1))).unwrap();
         let d = demands(&[(0, 10.0, 10.0), (1, 10.0, 10.0)]);
-        let out = pack_fixed(&d, &no_net(), &dc, &cs, (1.0, 1.0), OrderKey::Cpu).unwrap();
+        let out = pack_fixed(&d, &no_net(), &dc, &cs).unwrap();
         assert_ne!(
             out.placement.host_of(VmId(0)),
             out.placement.host_of(VmId(1))
@@ -291,12 +255,12 @@ mod tests {
         let mut cs = ConstraintSet::new();
         cs.add(Constraint::PinToHost(VmId(0), HostId(1))).unwrap();
         let d = demands(&[(0, 10.0, 10.0)]);
-        let out = pack_fixed(&d, &no_net(), &dc, &cs, (1.0, 1.0), OrderKey::Cpu).unwrap();
+        let out = pack_fixed(&d, &no_net(), &dc, &cs).unwrap();
         assert_eq!(out.placement.host_of(VmId(0)), Some(HostId(1)));
         // Pin beyond the pool fails cleanly.
         let mut cs2 = ConstraintSet::new();
         cs2.add(Constraint::PinToHost(VmId(0), HostId(5))).unwrap();
-        assert!(pack_fixed(&d, &no_net(), &dc, &cs2, (1.0, 1.0), OrderKey::Cpu).is_err());
+        assert!(pack_fixed(&d, &no_net(), &dc, &cs2).is_err());
     }
 
     #[test]
@@ -304,14 +268,7 @@ mod tests {
         let dc = DataCenter::heterogeneous(&[(model("m", 100.0, 1000.0), 2)], 4, 1);
         let d = demands(&[(0, 1.0, 1.0), (1, 1.0, 1.0), (2, 1.0, 1.0)]);
         let net: BTreeMap<VmId, f64> = (0..3).map(|i| (VmId(i), 600.0)).collect();
-        let out = pack_fixed(
-            &d,
-            &net,
-            &dc,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            OrderKey::Cpu,
-        );
+        let out = pack_fixed(&d, &net, &dc, &ConstraintSet::new());
         // 3 × 600 Mbit/s over two 1 Gbit/s links: only two fit.
         assert!(matches!(out, Err(FixedPoolError::PoolExhausted { .. })));
     }
@@ -320,15 +277,7 @@ mod tests {
     fn decommission_candidates_are_reported() {
         let dc = DataCenter::heterogeneous(&[(model("m", 100.0, 1000.0), 4)], 4, 1);
         let d = demands(&[(0, 60.0, 100.0), (1, 60.0, 100.0)]);
-        let out = pack_fixed(
-            &d,
-            &no_net(),
-            &dc,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            OrderKey::Cpu,
-        )
-        .unwrap();
+        let out = pack_fixed(&d, &no_net(), &dc, &ConstraintSet::new()).unwrap();
         assert_eq!(
             out.empty_hosts.len(),
             2,

@@ -5,17 +5,18 @@
 //!
 //! * **Semi-Static** — "vanilla semi-static algorithm that uses peak
 //!   expected resource demand for sizing and first-fit-decreasing for
-//!   placement" → [`planner::Planner::plan_semi_static`].
+//!   placement" → [`PlannerKind::SemiStatic`].
 //! * **Stochastic** — "inspired from the PCP algorithm in \[27\]. Body of
 //!   the distribution = 90 percentile, Tail of the distribution = Max" →
-//!   [`planner::Planner::plan_stochastic`].
+//!   [`PlannerKind::Stochastic`].
 //! * **Dynamic** — "a state-of-the-art dynamic consolidation scheme that
 //!   compares various adaptation actions possible and selects the one with
 //!   least cost. The actual sizing function used in this case is the
 //!   estimated peak demand in the consolidation window" →
-//!   [`planner::Planner::plan_dynamic`].
+//!   [`PlannerKind::Dynamic`].
 //!
 //! Static consolidation (§2.2.1) is also provided for completeness.
+//! [`Planner::plan`] runs any of them.
 //!
 //! Module map:
 //!
@@ -27,8 +28,8 @@
 //! * [`prediction`] — the online predictors the dynamic planner uses for
 //!   "estimated peak demand in the consolidation window".
 //! * [`placement`] — placement representation and capacity accounting.
-//! * [`ffd`] — constraint-aware two-dimensional First-Fit-Decreasing.
-//! * [`bfd`] — Best-Fit-Decreasing baseline on the same driver.
+//! * [`ffd`] — constraint-aware two-dimensional First-Fit-Decreasing, with
+//!   Best-Fit-Decreasing as a second policy of the same model.
 //! * [`pcp`] — the stochastic Peak-Clustering variant.
 //! * [`correlation`] — the second stochastic variant of \[27\]: explicit
 //!   pairwise-correlation charging instead of bucket envelopes.
@@ -44,7 +45,7 @@
 //! Plan the (shrunk) Airlines data center with the stochastic planner:
 //!
 //! ```
-//! use vmcw_consolidation::{Planner, PlanningInput, VirtualizationModel};
+//! use vmcw_consolidation::{Planner, PlannerKind, PlanningInput, VirtualizationModel};
 //! use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
 //!
 //! let workload = GeneratorConfig::new(DataCenterId::Airlines)
@@ -52,7 +53,7 @@
 //!     .days(21)
 //!     .generate(1);
 //! let input = PlanningInput::from_workload(&workload, 14, VirtualizationModel::default());
-//! let plan = Planner::baseline().plan_stochastic(&input)?;
+//! let plan = Planner::baseline().plan(PlannerKind::Stochastic, &input)?;
 //! assert!(plan.provisioned_hosts() > 0);
 //! # Ok::<(), vmcw_consolidation::PackError>(())
 //! ```
@@ -60,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bfd;
 pub mod correlation;
 pub mod drain;
 pub mod dynamic;
@@ -73,10 +73,9 @@ pub mod planner;
 pub mod prediction;
 pub mod sizing;
 
+pub use ffd::PackingAlgorithm;
 pub use input::{PlanningInput, VirtualizationModel, VmTrace};
 pub use placement::{PackError, Placement};
-pub use planner::{
-    ConsolidationPlan, PackingAlgorithm, PlanPlacements, Planner, PlannerKind, StochasticVariant,
-};
+pub use planner::{ConsolidationPlan, PlanPlacements, Planner, PlannerKind, StochasticVariant};
 pub use prediction::Predictor;
 pub use sizing::SizingFunction;

@@ -269,11 +269,9 @@ pub fn pcp_pack(
     history: Range<usize>,
     dc: &mut DataCenter,
     constraints: &ConstraintSet,
-    bounds: (f64, f64),
     config: &PcpConfig,
 ) -> Result<Placement, PackError> {
-    let capacity = dc.template().capacity();
-    let effective = Resources::new(capacity.cpu_rpe2 * bounds.0, capacity.mem_mb * bounds.1);
+    let effective = dc.template().capacity();
     let items = build_pcp_items(vms, history, config, constraints)?;
     let mut model = PcpModel::new(
         effective,
@@ -354,7 +352,6 @@ mod tests {
             0..168,
             &mut dc,
             &ConstraintSet::new(),
-            (1.0, 1.0),
             &daily_config(),
         )
         .unwrap();
@@ -375,7 +372,6 @@ mod tests {
             0..168,
             &mut dc,
             &ConstraintSet::new(),
-            (1.0, 1.0),
             &daily_config(),
         )
         .unwrap();
@@ -395,7 +391,6 @@ mod tests {
             0..168,
             &mut dc,
             &ConstraintSet::new(),
-            (1.0, 1.0),
             &daily_config(),
         )
         .unwrap();
@@ -407,12 +402,14 @@ mod tests {
             .map(|t| (t.vm.id, t.size_over(0..168, SizingFunction::Max)))
             .collect();
         let mut dc2 = DataCenter::new(host_model(), 14, 1);
-        let vanilla = crate::ffd::first_fit_decreasing(
+        let vanilla = crate::ffd::pack_demands(
             &demands,
+            &BTreeMap::new(),
             &mut dc2,
             &ConstraintSet::new(),
             (1.0, 1.0),
             OrderKey::Dominant,
+            crate::ffd::PackingAlgorithm::FirstFitDecreasing,
         )
         .unwrap();
         assert!(vanilla.active_host_count() > p.active_host_count());
@@ -428,7 +425,6 @@ mod tests {
             0..168,
             &mut dc,
             &ConstraintSet::new(),
-            (1.0, 1.0),
             &daily_config(),
         )
         .unwrap();
@@ -460,7 +456,6 @@ mod tests {
             0..168,
             &mut dc,
             &ConstraintSet::new(),
-            (1.0, 1.0),
             &daily_config(),
         )
         .unwrap_err();

@@ -1,9 +1,9 @@
-//! Planner facade: one entry point per consolidation variant (§5.1).
+//! Planner facade: [`Planner::plan`] runs each consolidation variant
+//! (§5.1).
 
-use crate::bfd::best_fit_decreasing_with_network;
 use crate::correlation::{correlation_pack, CorrelationConfig};
 use crate::dynamic::{plan_dynamic, DynamicConfig, MigrationEvent};
-use crate::ffd::{first_fit_decreasing_with_network, OrderKey};
+use crate::ffd::{pack_demands, OrderKey, PackingAlgorithm};
 use crate::input::PlanningInput;
 use crate::pcp::{pcp_pack, PcpConfig};
 use crate::placement::{PackError, Placement};
@@ -134,15 +134,6 @@ impl ConsolidationPlan {
     }
 }
 
-/// How scalar demands are packed onto hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PackingAlgorithm {
-    /// First-Fit-Decreasing — the paper's choice.
-    FirstFitDecreasing,
-    /// Best-Fit-Decreasing — the classical alternative.
-    BestFitDecreasing,
-}
-
 /// Long-term sizing policy for the semi-static planners (§2.1's
 /// "long-term prediction").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +147,7 @@ pub enum GrowthPolicy {
     LinearTrend,
 }
 
-/// Which stochastic semi-static variant [`Planner::plan_stochastic`] runs.
+/// Which stochastic semi-static variant [`PlannerKind::Stochastic`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StochasticVariant {
     /// Bucket-envelope peak clustering (the paper's PCP variant).
@@ -236,28 +227,6 @@ impl Planner {
             .collect()
     }
 
-    /// Static consolidation (§2.2.1): sized at the peak over the VM's
-    /// whole *lifetime* — approximated by the entire available trace,
-    /// history and evaluation alike — and never re-planned. This is the
-    /// most conservative variant: it can only need at least as many hosts
-    /// as vanilla semi-static.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PackError`] from the packer.
-    pub fn plan_static(&self, input: &PlanningInput) -> Result<ConsolidationPlan, PackError> {
-        self.plan_fixed(input, PlannerKind::Static)
-    }
-
-    /// Vanilla semi-static consolidation: history-peak sizing + FFD.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PackError`] from the packer.
-    pub fn plan_semi_static(&self, input: &PlanningInput) -> Result<ConsolidationPlan, PackError> {
-        self.plan_fixed(input, PlannerKind::SemiStatic)
-    }
-
     /// Rolling semi-static consolidation: the placement is re-planned
     /// every `period_days` of the evaluation window using all data seen so
     /// far — the "once a week or once a month" relocation cycle of
@@ -293,13 +262,14 @@ impl Planner {
             // Each period re-plans from scratch onto a fresh host pool;
             // the provisioned footprint is the largest of the periods.
             let mut period_dc = self.new_dc();
-            let placement = first_fit_decreasing_with_network(
+            let placement = pack_demands(
                 &demands,
                 &net,
                 &mut period_dc,
                 &input.constraints,
                 (1.0, 1.0),
                 self.order,
+                self.packing,
             )?;
             while dc.len() < period_dc.len() {
                 dc.provision();
@@ -318,13 +288,12 @@ impl Planner {
         })
     }
 
-    fn plan_fixed(
-        &self,
-        input: &PlanningInput,
-        kind: PlannerKind,
-    ) -> Result<ConsolidationPlan, PackError> {
-        // Static sizes over the whole lifetime; semi-static over the
-        // planning history only.
+    /// Peak demands of the (semi-)static planners. Static consolidation
+    /// (§2.2.1) sizes at the peak over the VM's whole *lifetime* —
+    /// approximated by the entire trace, history and evaluation alike —
+    /// so it needs at least as many hosts as vanilla semi-static, which
+    /// sizes over the planning history only.
+    fn peak_demands(&self, input: &PlanningInput, kind: PlannerKind) -> BTreeMap<VmId, Resources> {
         let range = match kind {
             PlannerKind::Static => 0..input.total_hours(),
             _ => input.history_range(),
@@ -349,103 +318,69 @@ impl Planner {
                 d.mem_mb *= grow(&t.mem_mb);
             }
         }
-        let net = input.net_demands();
-        let mut dc = self.new_dc();
-        let placement = match self.packing {
-            PackingAlgorithm::FirstFitDecreasing => first_fit_decreasing_with_network(
-                &demands,
-                &net,
-                &mut dc,
-                &input.constraints,
-                (1.0, 1.0),
-                self.order,
-            )?,
-            PackingAlgorithm::BestFitDecreasing => best_fit_decreasing_with_network(
-                &demands,
-                &net,
-                &mut dc,
-                &input.constraints,
-                (1.0, 1.0),
-                self.order,
-            )?,
-        };
-        Ok(ConsolidationPlan {
-            kind,
-            placements: PlanPlacements::Fixed(placement),
-            migrations: Vec::new(),
-            dc,
-        })
+        demands
     }
 
-    /// Stochastic semi-static consolidation (PCP variant).
+    /// Plans `input` with the `kind` planner:
+    ///
+    /// * Static and vanilla semi-static: peak sizing (see
+    ///   [`GrowthPolicy`]) packed with [`Planner::packing`], one placement.
+    /// * Stochastic: the [`Planner::stochastic_variant`], one placement.
+    /// * Dynamic: one placement per consolidation window, with the live
+    ///   migrations between them.
     ///
     /// # Errors
     ///
-    /// Propagates [`PackError`] from the packer.
-    pub fn plan_stochastic(&self, input: &PlanningInput) -> Result<ConsolidationPlan, PackError> {
-        let mut dc = self.new_dc();
-        let placement = match self.stochastic_variant {
-            StochasticVariant::PeakClustering => pcp_pack(
-                &input.vms,
-                input.history_range(),
-                &mut dc,
-                &input.constraints,
-                (1.0, 1.0),
-                &self.pcp,
-            )?,
-            StochasticVariant::CorrelationAware => correlation_pack(
-                &input.vms,
-                input.history_range(),
-                &mut dc,
-                &input.constraints,
-                (1.0, 1.0),
-                &self.correlation,
-            )?,
-        };
-        Ok(ConsolidationPlan {
-            kind: PlannerKind::Stochastic,
-            placements: PlanPlacements::Fixed(placement),
-            migrations: Vec::new(),
-            dc,
-        })
-    }
-
-    /// Dynamic consolidation over the evaluation window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PackError`] from the initial placement or a stranded
-    /// re-placement.
-    pub fn plan_dynamic(&self, input: &PlanningInput) -> Result<ConsolidationPlan, PackError> {
-        let mut dc = self.new_dc();
-        let outcome = plan_dynamic(input, &mut dc, &self.dynamic)?;
-        Ok(ConsolidationPlan {
-            kind: PlannerKind::Dynamic,
-            placements: PlanPlacements::PerInterval {
-                placements: outcome.placements,
-                window_hours: outcome.window_hours,
-            },
-            migrations: outcome.migrations,
-            dc,
-        })
-    }
-
-    /// Dispatches on the planner kind.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PackError`] from the selected planner.
+    /// Propagates [`PackError`] from the packer, or from a stranded
+    /// dynamic re-placement.
     pub fn plan(
         &self,
         kind: PlannerKind,
         input: &PlanningInput,
     ) -> Result<ConsolidationPlan, PackError> {
-        match kind {
-            PlannerKind::Static => self.plan_static(input),
-            PlannerKind::SemiStatic => self.plan_semi_static(input),
-            PlannerKind::Stochastic => self.plan_stochastic(input),
-            PlannerKind::Dynamic => self.plan_dynamic(input),
-        }
+        let mut dc = self.new_dc();
+        let fixed = |placement| (PlanPlacements::Fixed(placement), Vec::new());
+        let (placements, migrations) = match kind {
+            PlannerKind::Static | PlannerKind::SemiStatic => fixed(pack_demands(
+                &self.peak_demands(input, kind),
+                &input.net_demands(),
+                &mut dc,
+                &input.constraints,
+                (1.0, 1.0),
+                self.order,
+                self.packing,
+            )?),
+            PlannerKind::Stochastic => fixed(match self.stochastic_variant {
+                StochasticVariant::PeakClustering => pcp_pack(
+                    &input.vms,
+                    input.history_range(),
+                    &mut dc,
+                    &input.constraints,
+                    &self.pcp,
+                )?,
+                StochasticVariant::CorrelationAware => correlation_pack(
+                    &input.vms,
+                    input.history_range(),
+                    &mut dc,
+                    &input.constraints,
+                    &self.correlation,
+                )?,
+            }),
+            PlannerKind::Dynamic => {
+                let outcome = plan_dynamic(input, &mut dc, &self.dynamic)?;
+                let placements = PlanPlacements::PerInterval {
+                    placements: outcome.placements,
+                    window_hours: outcome.window_hours,
+                };
+                (placements, outcome.migrations)
+            }
+        };
+        Ok(ConsolidationPlan {
+            kind,
+            placements,
+            migrations,
+            dc,
+        })
     }
 }
 
@@ -490,8 +425,8 @@ mod tests {
         for dcid in [DataCenterId::Banking, DataCenterId::Beverage] {
             let input = input(dcid);
             let planner = Planner::baseline();
-            let vanilla = planner.plan_semi_static(&input).unwrap();
-            let stochastic = planner.plan_stochastic(&input).unwrap();
+            let vanilla = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
+            let stochastic = planner.plan(PlannerKind::Stochastic, &input).unwrap();
             assert!(
                 stochastic.provisioned_hosts() <= vanilla.provisioned_hosts(),
                 "{dcid:?}: stochastic {} vs vanilla {}",
@@ -511,8 +446,8 @@ mod tests {
             .generate(9);
         let input = PlanningInput::from_workload(&w, 8, VirtualizationModel::baseline());
         let planner = Planner::baseline();
-        let vanilla = planner.plan_semi_static(&input).unwrap();
-        let stochastic = planner.plan_stochastic(&input).unwrap();
+        let vanilla = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
+        let stochastic = planner.plan(PlannerKind::Stochastic, &input).unwrap();
         assert!(
             stochastic.provisioned_hosts() < vanilla.provisioned_hosts(),
             "stochastic {} vs vanilla {}",
@@ -524,7 +459,9 @@ mod tests {
     #[test]
     fn fixed_plan_is_constant_over_time() {
         let input = input(DataCenterId::Airlines);
-        let plan = Planner::baseline().plan_semi_static(&input).unwrap();
+        let plan = Planner::baseline()
+            .plan(PlannerKind::SemiStatic, &input)
+            .unwrap();
         assert_eq!(plan.placements.at_hour(0), plan.placements.at_hour(71));
         assert_eq!(plan.placements.interval_count(), 1);
         assert!(plan.migrations.is_empty());
@@ -533,7 +470,9 @@ mod tests {
     #[test]
     fn dynamic_plan_changes_over_time() {
         let input = input(DataCenterId::Banking);
-        let plan = Planner::baseline().plan_dynamic(&input).unwrap();
+        let plan = Planner::baseline()
+            .plan(PlannerKind::Dynamic, &input)
+            .unwrap();
         assert!(plan.placements.interval_count() > 1);
         let distinct = match &plan.placements {
             PlanPlacements::PerInterval { placements, .. } => {
@@ -556,7 +495,9 @@ mod tests {
     #[test]
     fn at_hour_clamps_to_last_interval() {
         let input = input(DataCenterId::Airlines);
-        let plan = Planner::baseline().plan_dynamic(&input).unwrap();
+        let plan = Planner::baseline()
+            .plan(PlannerKind::Dynamic, &input)
+            .unwrap();
         let last = plan.placements.at_hour(1_000_000);
         assert_eq!(last.len(), input.vms.len());
     }
@@ -565,8 +506,8 @@ mod tests {
     fn static_needs_at_least_as_many_hosts_as_semi_static() {
         let input = input(DataCenterId::Banking);
         let planner = Planner::baseline();
-        let st = planner.plan_static(&input).unwrap();
-        let semi = planner.plan_semi_static(&input).unwrap();
+        let st = planner.plan(PlannerKind::Static, &input).unwrap();
+        let semi = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         assert!(
             st.provisioned_hosts() >= semi.provisioned_hosts(),
             "lifetime sizing {} vs history sizing {}",
@@ -587,19 +528,21 @@ mod tests {
             assert_eq!(plan.placements.at_hour(h).len(), input.vms.len());
         }
         // The footprint is the max across periods and at least vanilla's.
-        let vanilla = planner.plan_semi_static(&input).unwrap();
+        let vanilla = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         assert!(plan.provisioned_hosts() >= vanilla.provisioned_hosts());
     }
 
     #[test]
     fn growth_aware_sizing_provisions_at_least_as_much() {
         let input = input(DataCenterId::NaturalResources);
-        let plain = Planner::baseline().plan_semi_static(&input).unwrap();
+        let plain = Planner::baseline()
+            .plan(PlannerKind::SemiStatic, &input)
+            .unwrap();
         let grown = Planner {
             growth: GrowthPolicy::LinearTrend,
             ..Planner::baseline()
         }
-        .plan_semi_static(&input)
+        .plan(PlannerKind::SemiStatic, &input)
         .unwrap();
         assert!(grown.provisioned_hosts() >= plain.provisioned_hosts());
     }
@@ -611,10 +554,12 @@ mod tests {
             packing: PackingAlgorithm::BestFitDecreasing,
             ..Planner::baseline()
         };
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         assert_eq!(plan.placements.at_hour(0).len(), input.vms.len());
         // BFD lands within one host of FFD on enterprise mixes.
-        let ffd = Planner::baseline().plan_semi_static(&input).unwrap();
+        let ffd = Planner::baseline()
+            .plan(PlannerKind::SemiStatic, &input)
+            .unwrap();
         let diff = plan.provisioned_hosts() as i64 - ffd.provisioned_hosts() as i64;
         assert!(
             diff.abs() <= 2,
@@ -631,9 +576,11 @@ mod tests {
             stochastic_variant: StochasticVariant::CorrelationAware,
             ..Planner::baseline()
         };
-        let plan = planner.plan_stochastic(&input).unwrap();
+        let plan = planner.plan(PlannerKind::Stochastic, &input).unwrap();
         assert_eq!(plan.placements.at_hour(0).len(), input.vms.len());
-        let vanilla = Planner::baseline().plan_semi_static(&input).unwrap();
+        let vanilla = Planner::baseline()
+            .plan(PlannerKind::SemiStatic, &input)
+            .unwrap();
         assert!(
             plan.provisioned_hosts() <= vanilla.provisioned_hosts(),
             "correlation-aware {} vs vanilla {}",

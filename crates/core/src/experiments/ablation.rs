@@ -13,9 +13,10 @@ use vmcw_cluster::datacenter::DataCenter;
 use vmcw_cluster::power::{PowerCurve, PowerModel};
 use vmcw_cluster::server::ServerModel;
 use vmcw_consolidation::ffd::OrderKey;
-use vmcw_consolidation::planner::{PackingAlgorithm, Planner, PlannerKind, StochasticVariant};
+use vmcw_consolidation::planner::{Planner, PlannerKind, StochasticVariant};
 use vmcw_consolidation::prediction::Predictor;
 use vmcw_consolidation::sizing::SizingFunction;
+use vmcw_consolidation::PackingAlgorithm;
 use vmcw_emulator::engine::emulate;
 use vmcw_migration::cost::MigrationCostModel;
 use vmcw_trace::datacenters::DataCenterId;

@@ -79,7 +79,7 @@ pub fn fig8(suite: &mut Suite) -> Result<Table, StudyError> {
             t.push_row([
                 dc.industry().to_owned(),
                 kind.label().to_owned(),
-                fnum(report::contention_time_fraction(&run.report), 6),
+                fnum(run.report.contention_time_fraction(), 6),
             ]);
         }
     }

@@ -238,8 +238,12 @@ pub fn constraint_cost(suite: &mut Suite) -> Result<Table, StudyError> {
             let mut input = study.input().clone();
             input.constraints = cs;
             let planner = study.config().planner;
-            let stochastic = planner.plan_stochastic(&input)?.provisioned_hosts();
-            let dynamic = planner.plan_dynamic(&input)?.provisioned_hosts();
+            let stochastic = planner
+                .plan(PlannerKind::Stochastic, &input)?
+                .provisioned_hosts();
+            let dynamic = planner
+                .plan(PlannerKind::Dynamic, &input)?
+                .provisioned_hosts();
             t.push_row([
                 dc.industry().to_owned(),
                 label.to_owned(),

@@ -164,25 +164,20 @@ pub fn check_claims(suite: &mut Suite) -> Result<Vec<Claim>, StudyError> {
     });
 
     let banking_dynamic = suite.run(DataCenterId::Banking, PlannerKind::Dynamic)?;
-    let contention = report::contention_time_fraction(&banking_dynamic.report);
+    let contention = banking_dynamic.report.contention_time_fraction();
+    let airlines_contention = suite
+        .run(DataCenterId::Airlines, PlannerKind::Dynamic)?
+        .report
+        .contention_time_fraction();
     claims.push(Claim {
         source: "Fig 8 / Obs 6",
         statement: "Banking dynamic consolidation shows contention; Airlines shows none".into(),
         measured: format!(
             "Banking {:.3}%, Airlines {:.3}%",
             contention * 100.0,
-            report::contention_time_fraction(
-                &suite
-                    .run(DataCenterId::Airlines, PlannerKind::Dynamic)?
-                    .report
-            ) * 100.0
+            airlines_contention * 100.0
         ),
-        holds: contention > 0.0
-            && report::contention_time_fraction(
-                &suite
-                    .run(DataCenterId::Airlines, PlannerKind::Dynamic)?
-                    .report,
-            ) == 0.0,
+        holds: contention > 0.0 && airlines_contention == 0.0,
     });
 
     let active = report::active_fraction_cdf(

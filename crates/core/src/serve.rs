@@ -151,6 +151,11 @@ impl ServeConfig {
                 self.drain_grace_secs
             ));
         }
+        if let Some(t) = self.heartbeat_timeout_secs {
+            if !t.is_finite() || t <= 0.0 {
+                return bad(format!("heartbeat timeout must be finite and > 0, got {t}"));
+            }
+        }
         Ok(())
     }
 }
@@ -1474,5 +1479,18 @@ mod tests {
         let mut c = ServeConfig::new("/tmp/x", 0);
         c.breaker_cooldown_secs = f64::NAN;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn non_positive_heartbeat_timeout_fails_bind() {
+        for t in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = ServeConfig::new("/tmp/x", 0);
+            c.heartbeat_timeout_secs = Some(t);
+            let err = Server::bind(c).err();
+            assert!(matches!(err, Some(ServeError::Config { .. })), "{t}");
+        }
+        let mut c = ServeConfig::new("/tmp/x", 0);
+        c.heartbeat_timeout_secs = Some(0.5);
+        assert!(c.validate().is_ok());
     }
 }

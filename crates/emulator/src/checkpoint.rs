@@ -84,9 +84,9 @@ impl From<InvariantViolation> for CheckpointError {
     }
 }
 
-/// Frozen per-host accumulator state (mirrors the engine's internal
-/// accumulator; converted back losslessly on resume).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Per-host running aggregate of a replay: the engine accumulates into it
+/// hour by hour and checkpoints it as is.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HostAccState {
     /// Hours the host was powered on so far.
     pub active_hours: usize,

@@ -311,33 +311,6 @@ impl EffectivePlacement {
     }
 }
 
-/// Per-host running aggregate (checkpointed losslessly as
-/// [`HostAccState`]).
-#[derive(Debug)]
-struct HostAcc {
-    active_hours: usize,
-    cpu_util_sum: f64,
-    mem_util_sum: f64,
-    peak_cpu: f64,
-    peak_mem: f64,
-    contention_hours: usize,
-    unreliable_hours: usize,
-}
-
-impl HostAcc {
-    fn zero() -> Self {
-        Self {
-            active_hours: 0,
-            cpu_util_sum: 0.0,
-            mem_util_sum: 0.0,
-            peak_cpu: 0.0,
-            peak_mem: 0.0,
-            contention_hours: 0,
-            unreliable_hours: 0,
-        }
-    }
-}
-
 /// Monotonic micros since the process-wide heartbeat epoch (the first
 /// time any heartbeat is created or beats).
 fn heartbeat_micros() -> u64 {
@@ -425,7 +398,7 @@ pub struct Replay<'a> {
     /// Last good sample and its staleness per VM, indexed like
     /// `input.vms`; `None` until the VM's first sample.
     last_good: Vec<Option<(Resources, usize)>>,
-    accs: Vec<HostAcc>,
+    accs: Vec<HostAccState>,
     per_hour: Vec<HourSummary>,
     energy_wh: f64,
     cpu_contention_samples: Vec<f64>,
@@ -475,7 +448,7 @@ impl<'a> Replay<'a> {
             ledger: FaultLedger::default(),
             state,
             last_good: vec![None; input.vms.len()],
-            accs: (0..n_hosts).map(|_| HostAcc::zero()).collect(),
+            accs: vec![HostAccState::default(); n_hosts],
             per_hour: Vec::with_capacity(hours),
             energy_wh: 0.0,
             cpu_contention_samples: Vec::new(),
@@ -534,19 +507,7 @@ impl<'a> Replay<'a> {
         fresh.hour = ckpt.hour;
         fresh.ledger = ckpt.ledger;
         fresh.energy_wh = ckpt.energy_wh;
-        fresh.accs = ckpt
-            .accs
-            .iter()
-            .map(|a| HostAcc {
-                active_hours: a.active_hours,
-                cpu_util_sum: a.cpu_util_sum,
-                mem_util_sum: a.mem_util_sum,
-                peak_cpu: a.peak_cpu,
-                peak_mem: a.peak_mem,
-                contention_hours: a.contention_hours,
-                unreliable_hours: a.unreliable_hours,
-            })
-            .collect();
+        fresh.accs = ckpt.accs.clone();
         fresh.per_hour = ckpt.per_hour.clone();
         fresh.cpu_contention_samples = ckpt.cpu_contention_samples.clone();
         for &(vm, r, stale) in &ckpt.last_good {
@@ -599,19 +560,7 @@ impl<'a> Replay<'a> {
             total_hours: self.hours,
             ledger: self.ledger,
             energy_wh: self.energy_wh,
-            accs: self
-                .accs
-                .iter()
-                .map(|a| HostAccState {
-                    active_hours: a.active_hours,
-                    cpu_util_sum: a.cpu_util_sum,
-                    mem_util_sum: a.mem_util_sum,
-                    peak_cpu: a.peak_cpu,
-                    peak_mem: a.peak_mem,
-                    contention_hours: a.contention_hours,
-                    unreliable_hours: a.unreliable_hours,
-                })
-                .collect(),
+            accs: self.accs.clone(),
             per_hour: self.per_hour.clone(),
             cpu_contention_samples: self.cpu_contention_samples.clone(),
             last_good: self.last_good_by_id(),
@@ -1111,7 +1060,7 @@ fn survive_sample(
 mod tests {
     use super::*;
     use vmcw_consolidation::input::VirtualizationModel;
-    use vmcw_consolidation::planner::Planner;
+    use vmcw_consolidation::planner::{Planner, PlannerKind};
     use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
 
     fn setup(dcid: DataCenterId) -> (PlanningInput, Planner) {
@@ -1125,7 +1074,7 @@ mod tests {
     #[test]
     fn semi_static_keeps_all_hosts_active() {
         let (input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         assert_eq!(report.hours, 72);
         for hour in &report.per_hour {
@@ -1139,8 +1088,8 @@ mod tests {
     #[test]
     fn dynamic_varies_active_hosts_and_uses_less_energy() {
         let (input, planner) = setup(DataCenterId::Banking);
-        let fixed = planner.plan_semi_static(&input).unwrap();
-        let dynamic = planner.plan_dynamic(&input).unwrap();
+        let fixed = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
+        let dynamic = planner.plan(PlannerKind::Dynamic, &input).unwrap();
         let cfg = EmulatorConfig::default();
         let fixed_report = emulate(&input, &fixed, &cfg, None).unwrap();
         let dyn_report = emulate(&input, &dynamic, &cfg, None).unwrap();
@@ -1161,7 +1110,7 @@ mod tests {
         // Semi-static sizes at the history max; evaluation demand can
         // exceed it only via trace drift, so utilisation stays near ≤1.
         let (input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         for host in &report.per_host {
             assert!(host.avg_cpu_util <= 1.0 + 1e-9);
@@ -1172,7 +1121,7 @@ mod tests {
     #[test]
     fn energy_equals_per_hour_watt_sum() {
         let (input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_stochastic(&input).unwrap();
+        let plan = planner.plan(PlannerKind::Stochastic, &input).unwrap();
         let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         let total_wh: f64 = report.per_hour.iter().map(|h| h.watts).sum();
         assert!((report.energy_kwh - total_wh / 1000.0).abs() < 1e-9);
@@ -1181,7 +1130,7 @@ mod tests {
     #[test]
     fn dedup_reduces_memory_utilisation() {
         let (input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let base = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         let dedup = emulate(
             &input,
@@ -1202,7 +1151,7 @@ mod tests {
     #[test]
     fn contention_fraction_is_a_fraction() {
         let (input, planner) = setup(DataCenterId::Banking);
-        let plan = planner.plan_dynamic(&input).unwrap();
+        let plan = planner.plan(PlannerKind::Dynamic, &input).unwrap();
         let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         let f = report.contention_time_fraction();
         assert!((0.0..=1.0).contains(&f));
@@ -1213,7 +1162,7 @@ mod tests {
     #[test]
     fn interval_summaries_fold_hours() {
         let (input, planner) = setup(DataCenterId::Banking);
-        let plan = planner.plan_dynamic(&input).unwrap();
+        let plan = planner.plan(PlannerKind::Dynamic, &input).unwrap();
         let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         let intervals = report.interval_summaries(2);
         assert_eq!(intervals.len(), report.hours.div_ceil(2));
@@ -1235,7 +1184,7 @@ mod tests {
     #[test]
     fn migration_counters_propagate() {
         let (input, planner) = setup(DataCenterId::Banking);
-        let plan = planner.plan_dynamic(&input).unwrap();
+        let plan = planner.plan(PlannerKind::Dynamic, &input).unwrap();
         let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
         assert_eq!(report.migrations, plan.migrations.len());
         assert!(report.failed_migrations <= report.migrations);
@@ -1269,7 +1218,7 @@ mod tests {
     fn crashes_reduce_active_hosts_and_fill_the_ledger() {
         use crate::faults::FaultConfig;
         let (input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let cfg = EmulatorConfig::default();
         let faults = FaultConfig {
             host_mtbf_hours: 36.0,
@@ -1290,7 +1239,7 @@ mod tests {
     fn same_fault_seed_gives_identical_reports() {
         use crate::faults::FaultConfig;
         let (input, planner) = setup(DataCenterId::Banking);
-        let plan = planner.plan_dynamic(&input).unwrap();
+        let plan = planner.plan(PlannerKind::Dynamic, &input).unwrap();
         let cfg = EmulatorConfig::default();
         let faults = FaultConfig::baseline(17);
         let a = emulate(&input, &plan, &cfg, Some(&faults)).unwrap();
@@ -1302,7 +1251,7 @@ mod tests {
     fn injected_migration_failures_are_ledgered() {
         use crate::faults::FaultConfig;
         let (input, planner) = setup(DataCenterId::Banking);
-        let plan = planner.plan_dynamic(&input).unwrap();
+        let plan = planner.plan(PlannerKind::Dynamic, &input).unwrap();
         assert!(!plan.migrations.is_empty(), "dynamic plan must migrate");
         let cfg = EmulatorConfig::default();
         let faults = FaultConfig {
@@ -1321,7 +1270,7 @@ mod tests {
     fn dropouts_are_survived_and_counted() {
         use crate::faults::FaultConfig;
         let (input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let cfg = EmulatorConfig::default();
         let faults = FaultConfig {
             trace_dropout_prob: 0.05,
@@ -1340,7 +1289,7 @@ mod tests {
     fn nan_samples_are_survived_without_injection() {
         use crate::faults::FaultConfig;
         let (mut input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         // Corrupt one VM's trace mid-evaluation.
         let eval_start = input.eval_range().start;
         {
@@ -1362,7 +1311,7 @@ mod tests {
     fn staleness_budget_aborts_with_trace_gap() {
         use crate::faults::FaultConfig;
         let (mut input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let eval_start = input.eval_range().start;
         {
             let t = &mut input.vms[0];
@@ -1430,7 +1379,7 @@ mod tests {
         use crate::checkpoint::{CheckpointError, ReplayCheckpoint};
         use crate::faults::FaultConfig;
         let (input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let mut reversed = input.clone();
         reversed.vms.reverse();
         let cfg = EmulatorConfig::default();
@@ -1469,7 +1418,7 @@ mod tests {
         use crate::checkpoint::ReplayCheckpoint;
         let (input, planner) = setup(DataCenterId::Airlines);
         let cfg = EmulatorConfig::default();
-        let plan = planner.plan_dynamic(&input).unwrap();
+        let plan = planner.plan(PlannerKind::Dynamic, &input).unwrap();
         let baseline = emulate(&input, &plan, &cfg, None).unwrap();
         let mut first = Replay::new(&input, &plan, &cfg, None).unwrap();
         for _ in 0..17 {
@@ -1487,7 +1436,7 @@ mod tests {
     fn partial_report_covers_completed_hours_only() {
         let (input, planner) = setup(DataCenterId::Airlines);
         let cfg = EmulatorConfig::default();
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let mut replay = Replay::new(&input, &plan, &cfg, None).unwrap();
         for _ in 0..10 {
             replay.step().unwrap();
@@ -1508,8 +1457,8 @@ mod tests {
         use crate::faults::FaultConfig;
         let (input, planner) = setup(DataCenterId::Banking);
         let cfg = EmulatorConfig::default();
-        let semi = planner.plan_semi_static(&input).unwrap();
-        let dynamic = planner.plan_dynamic(&input).unwrap();
+        let semi = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
+        let dynamic = planner.plan(PlannerKind::Dynamic, &input).unwrap();
         let mut replay = Replay::new(&input, &semi, &cfg, None).unwrap();
         replay.step().unwrap();
         let ckpt = replay.checkpoint();
@@ -1527,7 +1476,7 @@ mod tests {
         use crate::checkpoint::CheckpointError;
         let (input, planner) = setup(DataCenterId::Banking);
         let cfg = EmulatorConfig::default();
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let mut replay = Replay::new(&input, &plan, &cfg, None).unwrap();
         for _ in 0..5 {
             replay.step().unwrap();
@@ -1543,7 +1492,7 @@ mod tests {
     fn invalid_fault_config_is_rejected_up_front() {
         use crate::faults::FaultConfig;
         let (input, planner) = setup(DataCenterId::Airlines);
-        let plan = planner.plan_semi_static(&input).unwrap();
+        let plan = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
         let faults = FaultConfig {
             migration_failure_prob: f64::NAN,
             ..FaultConfig::disabled()

@@ -32,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use vmcw_consolidation::{Planner, PlanningInput, VirtualizationModel};
+//! use vmcw_consolidation::{Planner, PlannerKind, PlanningInput, VirtualizationModel};
 //! use vmcw_emulator::{emulate, EmulatorConfig};
 //! use vmcw_trace::datacenters::{DataCenterId, GeneratorConfig};
 //!
@@ -41,7 +41,7 @@
 //!     .days(10)
 //!     .generate(1);
 //! let input = PlanningInput::from_workload(&workload, 7, VirtualizationModel::default());
-//! let plan = Planner::baseline().plan_semi_static(&input).unwrap();
+//! let plan = Planner::baseline().plan(PlannerKind::SemiStatic, &input).unwrap();
 //! let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
 //! assert_eq!(report.hours, 72);
 //! assert!(report.faults.is_clean());

@@ -99,17 +99,11 @@ pub fn active_fraction_cdf(report: &EmulationReport) -> Cdf {
         .collect()
 }
 
-/// Fraction of provisioned host-hours with contention (Fig 8).
-#[must_use]
-pub fn contention_time_fraction(report: &EmulationReport) -> f64 {
-    report.contention_time_fraction()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vmcw_consolidation::input::{PlanningInput, VirtualizationModel};
-    use vmcw_consolidation::planner::Planner;
+    use vmcw_consolidation::planner::{Planner, PlannerKind};
     use vmcw_emulator_test_support::*;
 
     // Local helper to build a small emulated report.
@@ -125,9 +119,9 @@ mod tests {
             let input = PlanningInput::from_workload(&w, 6, VirtualizationModel::baseline());
             let planner = Planner::baseline();
             let plan = if dynamic {
-                planner.plan_dynamic(&input).unwrap()
+                planner.plan(PlannerKind::Dynamic, &input).unwrap()
             } else {
-                planner.plan_semi_static(&input).unwrap()
+                planner.plan(PlannerKind::SemiStatic, &input).unwrap()
             };
             crate::engine::emulate(
                 &input,

@@ -9,7 +9,7 @@ use vmcw_repro::cluster::constraints::{Constraint, ConstraintSet};
 use vmcw_repro::cluster::datacenter::{HostId, SubnetId};
 use vmcw_repro::cluster::vm::VmId;
 use vmcw_repro::consolidation::input::{PlanningInput, VirtualizationModel};
-use vmcw_repro::consolidation::planner::Planner;
+use vmcw_repro::consolidation::planner::{Planner, PlannerKind};
 use vmcw_repro::trace::datacenters::{DataCenterId, GeneratorConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let input = PlanningInput::from_workload(&workload, 7, VirtualizationModel::baseline())
         .with_constraints(constraints.clone());
-    let plan = Planner::baseline().plan_stochastic(&input)?;
+    let plan = Planner::baseline().plan(PlannerKind::Stochastic, &input)?;
     let placement = plan.placements.at_hour(0);
 
     let host_of = |vm: u32| placement.host_of(VmId(vm)).expect("placed");

@@ -12,7 +12,6 @@
 use vmcw_repro::cluster::constraints::ConstraintSet;
 use vmcw_repro::cluster::datacenter::DataCenter;
 use vmcw_repro::cluster::server::ServerModel;
-use vmcw_repro::consolidation::ffd::OrderKey;
 use vmcw_repro::consolidation::fixed_pool::{pack_fixed, FixedPoolError};
 use vmcw_repro::consolidation::sizing::SizingFunction;
 use vmcw_repro::core::prelude::*;
@@ -61,14 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             14,
             4,
         );
-        match pack_fixed(
-            &demands,
-            &net,
-            &estate,
-            &ConstraintSet::new(),
-            (1.0, 1.0),
-            OrderKey::Dominant,
-        ) {
+        match pack_fixed(&demands, &net, &estate, &ConstraintSet::new()) {
             Ok(fit) => println!(
                 "{:>7} {:>7} | fits — {} of {} hosts left empty (decommission candidates)",
                 new_blades,

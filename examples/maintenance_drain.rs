@@ -16,7 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..StudyConfig::paper_baseline(DataCenterId::NaturalResources, 42)
     };
     let study = Study::prepare(&config);
-    let plan = config.planner.plan_stochastic(study.input())?;
+    let plan = config
+        .planner
+        .plan(PlannerKind::Stochastic, study.input())?;
     let placement = plan.placements.at_hour(0);
 
     // Drain the busiest host at the quietest hour of the first day.

@@ -60,7 +60,9 @@ fn monitoring_pipeline_feeds_planning() {
 
     // And the planning input built from the same workload must plan.
     let input = PlanningInput::from_workload(&workload, 3, VirtualizationModel::baseline());
-    let plan = Planner::baseline().plan_semi_static(&input).unwrap();
+    let plan = Planner::baseline()
+        .plan(PlannerKind::SemiStatic, &input)
+        .unwrap();
     assert!(plan.provisioned_hosts() > 0);
 }
 
@@ -131,7 +133,9 @@ fn constraints_hold_in_every_dynamic_interval() {
     .unwrap();
     let input = PlanningInput::from_workload(&workload, 7, VirtualizationModel::baseline())
         .with_constraints(cs.clone());
-    let plan = Planner::baseline().plan_dynamic(&input).unwrap();
+    let plan = Planner::baseline()
+        .plan(PlannerKind::Dynamic, &input)
+        .unwrap();
     let PlanPlacements::PerInterval { placements, .. } = &plan.placements else {
         panic!("dynamic plan must be per interval");
     };
@@ -156,7 +160,9 @@ fn pinned_vm_never_migrates() {
     .unwrap();
     let input = PlanningInput::from_workload(&workload, 7, VirtualizationModel::baseline())
         .with_constraints(cs);
-    let plan = Planner::baseline().plan_dynamic(&input).unwrap();
+    let plan = Planner::baseline()
+        .plan(PlannerKind::Dynamic, &input)
+        .unwrap();
     assert!(plan.migrations.iter().all(|m| m.vm != pinned));
     let PlanPlacements::PerInterval { placements, .. } = &plan.placements else {
         panic!("dynamic plan must be per interval");
@@ -173,7 +179,10 @@ fn pinned_vm_never_migrates() {
 fn dedup_savings_reduce_memory_pressure_end_to_end() {
     let config = StudyConfig::quick(DataCenterId::Airlines, 31);
     let study = Study::prepare(&config);
-    let plan = config.planner.plan_semi_static(study.input()).unwrap();
+    let plan = config
+        .planner
+        .plan(PlannerKind::SemiStatic, study.input())
+        .unwrap();
     let without = emulate(study.input(), &plan, &EmulatorConfig::default(), None).unwrap();
     let with = emulate(
         study.input(),
@@ -223,7 +232,7 @@ fn oracle_dynamic_has_no_contention() {
     let mut planner = Planner::baseline();
     planner.dynamic.cpu_predictor = vmcw_repro::consolidation::prediction::Predictor::Oracle;
     planner.dynamic.mem_predictor = vmcw_repro::consolidation::prediction::Predictor::Oracle;
-    let plan = planner.plan_dynamic(&input).unwrap();
+    let plan = planner.plan(PlannerKind::Dynamic, &input).unwrap();
     let report = emulate(&input, &plan, &EmulatorConfig::default(), None).unwrap();
     assert_eq!(report.cpu_contention_samples.len(), 0);
     assert!(report
@@ -294,8 +303,8 @@ fn black_swan_demand_surge_contends_fixed_plans_but_dynamic_recovers() {
     }
 
     let planner = Planner::baseline();
-    let semi = planner.plan_semi_static(&input).unwrap();
-    let dynamic = planner.plan_dynamic(&input).unwrap();
+    let semi = planner.plan(PlannerKind::SemiStatic, &input).unwrap();
+    let dynamic = planner.plan(PlannerKind::Dynamic, &input).unwrap();
     let cfg = EmulatorConfig::default();
     let semi_report = emulate(&input, &semi, &cfg, None).unwrap();
     let dyn_report = emulate(&input, &dynamic, &cfg, None).unwrap();
@@ -353,15 +362,8 @@ fn heterogeneous_estate_emulates_with_per_host_capacities() {
         14,
         4,
     );
-    let fit = pack_fixed(
-        &demands,
-        &input.net_demands(),
-        &estate,
-        &input.constraints,
-        (1.0, 1.0),
-        vmcw_repro::consolidation::ffd::OrderKey::Dominant,
-    )
-    .expect("estate should hold the shrunken workload");
+    let fit = pack_fixed(&demands, &input.net_demands(), &estate, &input.constraints)
+        .expect("estate should hold the shrunken workload");
     let _ = OrderKey::Dominant;
 
     let plan = ConsolidationPlan {

@@ -297,22 +297,16 @@ fn fig8_contention_concentrates_on_bursty_dynamic() {
     let airlines = runs(DataCenterId::Airlines);
     // Banking + Dynamic has contention; Airlines has none at all.
     assert!(
-        report::contention_time_fraction(&banking.2.report) > 0.0,
+        banking.2.report.contention_time_fraction() > 0.0,
         "Banking dynamic consolidation must show contention"
     );
-    assert_eq!(report::contention_time_fraction(&airlines.2.report), 0.0);
-    assert_eq!(report::contention_time_fraction(&airlines.0.report), 0.0);
+    assert_eq!(airlines.2.report.contention_time_fraction(), 0.0);
+    assert_eq!(airlines.0.report.contention_time_fraction(), 0.0);
     // Semi-static planners are nearly contention-free everywhere.
     for dc in DataCenterId::ALL {
         let (semi, stoch, _) = runs(dc);
-        assert!(
-            report::contention_time_fraction(&semi.report) < 0.005,
-            "{dc}"
-        );
-        assert!(
-            report::contention_time_fraction(&stoch.report) < 0.005,
-            "{dc}"
-        );
+        assert!(semi.report.contention_time_fraction() < 0.005, "{dc}");
+        assert!(stoch.report.contention_time_fraction() < 0.005, "{dc}");
     }
 }
 

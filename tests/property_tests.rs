@@ -8,7 +8,8 @@ use vmcw_repro::cluster::power::PowerModel;
 use vmcw_repro::cluster::resources::Resources;
 use vmcw_repro::cluster::server::ServerModel;
 use vmcw_repro::cluster::vm::VmId;
-use vmcw_repro::consolidation::ffd::{first_fit_decreasing, FfdModel, OrderKey};
+use vmcw_repro::consolidation::ffd::{pack_demands, FfdModel, OrderKey, PackingAlgorithm};
+use vmcw_repro::consolidation::planner::PlannerKind;
 use vmcw_repro::consolidation::sizing::SizingFunction;
 use vmcw_repro::migration::precopy::{HostLoad, PrecopyConfig, VmMigrationProfile};
 use vmcw_repro::trace::stats;
@@ -23,21 +24,26 @@ fn test_host(cpu: f64, mem: f64) -> ServerModel {
     }
 }
 
+/// First-fit packing with no link traffic and the dominant-share order.
+fn first_fit(
+    demands: &BTreeMap<VmId, Resources>,
+    dc: &mut DataCenter,
+    cs: &ConstraintSet,
+    bounds: (f64, f64),
+) -> Result<Placement, PackError> {
+    let (order, packing) = (OrderKey::Dominant, PackingAlgorithm::FirstFitDecreasing);
+    pack_demands(demands, &BTreeMap::new(), dc, cs, bounds, order, packing)
+}
+
 /// Replays an FFD run and checks no host exceeds the effective capacity.
 fn assert_capacity_respected(
     demands: &BTreeMap<VmId, Resources>,
     bounds: (f64, f64),
 ) -> (usize, usize) {
     let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
-    let placement = first_fit_decreasing(
-        demands,
-        &mut dc,
-        &ConstraintSet::new(),
-        bounds,
-        OrderKey::Dominant,
-    )
-    .expect("all items fit an empty host by construction");
-    let effective = Resources::new(100.0 * bounds.0, 1000.0 * bounds.1);
+    let placement = first_fit(demands, &mut dc, &ConstraintSet::new(), bounds)
+        .expect("all items fit an empty host by construction");
+    let effective = test_host(100.0, 1000.0).effective_capacity(bounds);
     for host in placement.active_hosts() {
         let load = placement.demand_on(host, |vm| demands[&vm]);
         assert!(
@@ -108,7 +114,7 @@ proptest! {
         }
         let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
         let placement =
-            first_fit_decreasing(&map, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+            first_fit(&map, &mut dc, &cs, (1.0, 1.0)).unwrap();
         let violations = cs.violations(&placement.as_map(), |h| dc.location(h));
         prop_assert!(violations.is_empty(), "violations: {violations:?}");
     }
@@ -130,7 +136,7 @@ proptest! {
         }
         let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
         let placement =
-            first_fit_decreasing(&map, &mut dc, &cs, (1.0, 1.0), OrderKey::Dominant).unwrap();
+            first_fit(&map, &mut dc, &cs, (1.0, 1.0)).unwrap();
         let violations = cs.violations(&placement.as_map(), |h| dc.location(h));
         prop_assert!(violations.is_empty(), "violations: {violations:?}");
     }
@@ -245,7 +251,13 @@ proptest! {
             .collect();
         let items = build_items(&map, &ConstraintSet::new()).unwrap();
         let mut dc = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
-        let mut model = FfdModel::new(Resources::new(100.0, 1000.0), OrderKey::Dominant, 0);
+        let mut model = FfdModel::new(
+            Resources::new(100.0, 1000.0),
+            1000.0,
+            OrderKey::Dominant,
+            PackingAlgorithm::FirstFitDecreasing,
+            0,
+        );
         let placement = pack(&mut model, items, &mut dc, &ConstraintSet::new()).unwrap();
         for host in placement.active_hosts() {
             let expected = placement.demand_on(host, |vm| map[&vm]);
@@ -326,11 +338,132 @@ proptest! {
         use vmcw_repro::trace::datacenters::{DataCenterId, GeneratorConfig};
         let w = GeneratorConfig::new(DataCenterId::Beverage).scale(0.015).days(6).generate(seed);
         let input = PlanningInput::from_workload(&w, 4, VirtualizationModel::baseline());
-        let plan = Planner::baseline().plan_dynamic(&input).unwrap();
+        let plan = Planner::baseline().plan(PlannerKind::Dynamic, &input).unwrap();
         for h in [0usize, 13, 47] {
             prop_assert_eq!(plan.placements.at_hour(h).len(), input.vms.len());
         }
         prop_assert!(plan.provisioned_hosts() >= 1);
+    }
+}
+
+// ---- One scalar packer vs the old full-scan driver -------------------
+
+use vmcw_repro::cluster::datacenter::HostId;
+use vmcw_repro::consolidation::ffd::{attach_network, build_items};
+use vmcw_repro::consolidation::{PackError, Placement};
+
+/// The scalar packer as it was when best-fit was a separate model: every
+/// host is scanned, and a host replaces the incumbent only on a strictly
+/// higher preference. First-fit's preference was a constant 0; best-fit's
+/// was the host's dominant share of the effective capacity before placing.
+fn reference_pack(
+    demands: &BTreeMap<VmId, Resources>,
+    net: &BTreeMap<VmId, f64>,
+    dc: &mut DataCenter,
+    cs: &ConstraintSet,
+    bounds: (f64, f64),
+    best_fit: bool,
+) -> Result<Placement, PackError> {
+    let effective = dc.template().effective_capacity(bounds);
+    let net_cap = dc.template().net_mbps;
+    let mut items = build_items(demands, cs)?;
+    attach_network(&mut items, net);
+    let mut used = vec![Resources::ZERO; dc.len()];
+    let mut used_net = vec![0.0f64; dc.len()];
+    let mut placement = Placement::new();
+    let key = |d: &Resources| OrderKey::Dominant.key(d, &effective);
+    items.sort_by(|a, b| {
+        key(&b.demand)
+            .total_cmp(&key(&a.demand))
+            .then_with(|| a.vms[0].cmp(&b.vms[0]))
+    });
+    for item in items {
+        let mut best: Option<(usize, f64)> = None;
+        for idx in 0..dc.len() {
+            let host = HostId(idx as u32);
+            let location = dc.host(host).unwrap().location();
+            if (used[idx] + item.demand).fits_within(&effective)
+                && used_net[idx] + item.net_mbps <= net_cap
+                && cs.allows_group(&item.vms, location, placement.vms_on(host))
+            {
+                let pref = if best_fit {
+                    used[idx].dominant_share(&effective)
+                } else {
+                    0.0
+                };
+                if best.is_none_or(|(_, best_pref)| pref > best_pref) {
+                    best = Some((idx, pref));
+                }
+            }
+        }
+        let idx = match best {
+            Some((idx, _)) => idx,
+            None => {
+                if !item.demand.fits_within(&effective) || item.net_mbps > net_cap {
+                    return Err(PackError::ItemTooLarge {
+                        vm: item.vms[0],
+                        demand: item.demand,
+                        capacity: effective,
+                    });
+                }
+                used.push(Resources::ZERO);
+                used_net.push(0.0);
+                dc.provision().0 as usize
+            }
+        };
+        for &v in &item.vms {
+            placement.assign(v, HostId(idx as u32));
+        }
+        used[idx] += item.demand;
+        used_net[idx] += item.net_mbps;
+    }
+    Ok(placement)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pack_demands_matches_the_full_scan_driver(
+        // Coarse steps make equal host loads (best-fit ties) and exact
+        // fits common.
+        vms in proptest::collection::vec((1u32..12, 1u32..12, 0u32..7), 1..50),
+        colocate in proptest::collection::vec((0usize..50, 0usize..50), 0..8),
+        anti in proptest::collection::vec((0usize..50, 0usize..50), 0..12),
+        reserved in 0u8..2,
+    ) {
+        let n = vms.len();
+        let demands: BTreeMap<VmId, Resources> = vms
+            .iter()
+            .enumerate()
+            .map(|(i, &(c, m, _))| (VmId(i as u32), Resources::new(f64::from(c) * 5.0, f64::from(m) * 50.0)))
+            .collect();
+        let net: BTreeMap<VmId, f64> = vms
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, _, mbps))| (VmId(i as u32), f64::from(mbps) * 100.0))
+            .collect();
+        let mut cs = ConstraintSet::new();
+        for (a, b) in colocate {
+            let _ = cs.add(Constraint::Colocate(VmId((a % n) as u32), VmId((b % n) as u32)));
+        }
+        for (a, b) in anti {
+            let _ = cs.add(Constraint::AntiColocate(VmId((a % n) as u32), VmId((b % n) as u32)));
+        }
+        let bounds = if reserved == 1 { (0.8, 0.8) } else { (1.0, 1.0) };
+        for (packing, best_fit) in [
+            (PackingAlgorithm::FirstFitDecreasing, false),
+            (PackingAlgorithm::BestFitDecreasing, true),
+        ] {
+            let mut dc_new = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
+            let mut dc_old = DataCenter::new(test_host(100.0, 1000.0), 8, 2);
+            let new = pack_demands(
+                &demands, &net, &mut dc_new, &cs, bounds, OrderKey::Dominant, packing,
+            );
+            let old = reference_pack(&demands, &net, &mut dc_old, &cs, bounds, best_fit);
+            prop_assert_eq!(&new, &old, "{:?}", packing);
+            prop_assert_eq!(dc_new.len(), dc_old.len(), "{:?}", packing);
+        }
     }
 }
 
@@ -365,8 +498,6 @@ proptest! {
             &BTreeMap::new(),
             &estate,
             &ConstraintSet::new(),
-            (1.0, 1.0),
-            OrderKey::Dominant,
         ) {
             Ok(fit) => {
                 // Every host's load fits its own capacity.
@@ -416,7 +547,7 @@ fn fault_fixture() -> &'static (PlanningInput, ConsolidationPlan) {
             .generate(17);
         let input = PlanningInput::from_workload(&w, 5, VirtualizationModel::baseline());
         let plan = Planner::baseline()
-            .plan_stochastic(&input)
+            .plan(PlannerKind::Stochastic, &input)
             .expect("fixture plans");
         (input, plan)
     })
